@@ -1,11 +1,11 @@
-//! Minimal wall-clock timing harness (the in-tree replacement for
-//! criterion, which the offline build cannot resolve).
+//! Minimal wall-clock timing harness behind the `kernel_bench` and
+//! `sparse_bench` exhibits.
 //!
 //! The harness auto-calibrates the iteration count so each measurement
 //! batch runs for roughly [`TARGET_BATCH`], takes several batches, and
 //! reports the median/mean/min per-iteration time. Use
-//! [`std::hint::black_box`] around inputs and results exactly as with
-//! criterion to keep the optimizer honest.
+//! [`std::hint::black_box`] around inputs and results to keep the
+//! optimizer honest.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -98,14 +98,6 @@ pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> Measurement {
         mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
         min_ns: per_iter_ns[0],
     }
-}
-
-/// Runs [`bench`] and prints the report line immediately (the common
-/// pattern in the `benches/` targets).
-pub fn bench_and_print<R, F: FnMut() -> R>(name: &str, f: F) -> Measurement {
-    let m = bench(name, f);
-    println!("{}", m.report());
-    m
 }
 
 #[cfg(test)]

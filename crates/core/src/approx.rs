@@ -11,7 +11,6 @@ use duet_tensor::{ops, Tensor};
 
 /// Precision / size configuration of an approximate module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ApproxConfig {
     /// Reduced input dimension `k`.
     pub reduced_dim: usize,
@@ -35,7 +34,6 @@ impl ApproxConfig {
 /// An approximate module for a linear (FF / gate) layer:
 /// `y' = W' (P x_q) + b'` with `W'` quantized to `weight_bits`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ApproxLinear {
     projection: TernaryProjection,
     /// Quantized weights `[n, k]`.

@@ -11,7 +11,6 @@ use crate::metrics::SavingsReport;
 
 /// A calibrated per-layer threshold assignment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Calibration {
     /// Chosen threshold per layer.
     pub thetas: Vec<f32>,

@@ -35,7 +35,6 @@ use duet_nn::Activation;
 /// Speculator weight precisions the controller may walk through when θ
 /// saturates: `full_bits` down to `min_bits`, one bit at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrecisionLadder {
     /// Bit width at full quality (the paper's default speculator is 4).
     pub full_bits: u32,
@@ -62,7 +61,6 @@ impl PrecisionLadder {
 
 /// Tuning of one [`ThetaController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControlConfig {
     /// Target insensitive fraction (the center of the calibrated band).
     pub setpoint: f64,
@@ -136,7 +134,6 @@ pub enum ControlAction {
 
 /// Lifetime actuation counters of one controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControlStats {
     /// Updates received (including holds).
     pub updates: u64,

@@ -41,7 +41,6 @@ use duet_tensor::Tensor;
 
 /// Per-band thresholds for a dual transformer block.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransformerThresholds {
     /// θ for the magnitude rule on Q/K/V and output projections
     /// (insensitive iff `|y'| < theta_attn`).

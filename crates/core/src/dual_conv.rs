@@ -1,20 +1,28 @@
 //! Dual-module execution of a convolutional layer (§II-B, §III-C).
 //!
-//! The CONV layer is lowered with im2col so the approximate module works
-//! on the patch matrix exactly as on an FF input. The switching map is
-//! per output *element* (channel × position); after ReLU it doubles as the
-//! next layer's input-sparsity map (IMap) including the §III-C correction
-//! step.
+//! The CONV layer is lowered with im2col and runs as one
+//! [`DualProjection`] batched over the patch columns, so the approximate
+//! module works on the patch matrix exactly as on an FF input. The
+//! switching map is per output *element* (channel × position); after ReLU
+//! it doubles as the next layer's input-sparsity map (IMap) including the
+//! §III-C correction step.
 
-use crate::approx::{ApproxConfig, ApproxLinear};
-use crate::distill;
-use crate::engine::{EngineCosts, ExecutorWeightBytes, Gather, MacMode, SpeculationEngine};
+use crate::approx::ApproxLinear;
+use crate::dual_proj::DualProjection;
+use crate::engine::{MacMode, SpeculationEngine};
 use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_tensor::im2col::{im2col, ConvGeometry};
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
+
+/// Conv rows skip zero inputs. Whether the skipped MACs still issue
+/// depends on the call's IMap, so [`DualProjection::forward_columns`]
+/// takes that per call; this is the no-IMap mode.
+const MODE: MacMode = MacMode::SkipZeroInputs {
+    count_skipped: true,
+};
 
 /// Result of one dual-module convolution.
 #[derive(Debug, Clone)]
@@ -32,42 +40,33 @@ pub struct DualConvOutput {
     pub report: SavingsReport,
 }
 
-/// A convolutional layer paired with its distilled approximate module.
+/// A convolutional layer: its geometry and one [`DualProjection`] whose
+/// accurate weights are the filter bank in GEMM form `[K, C·R·S]`.
 #[derive(Debug, Clone)]
 pub struct DualConvLayer {
     geom: ConvGeometry,
-    filters: Tensor, // [K, C·R·S]
-    bias: Tensor,    // [K]
-    approx: ApproxLinear,
+    proj: DualProjection,
 }
 
 impl DualConvLayer {
-    /// Wraps an accurate conv layer (`filters [K, C, R, S]`) and a
-    /// pre-distilled approximate module over the patch dimension.
+    /// Wraps an accurate filter bank in GEMM form (`filters [K, C·R·S]`)
+    /// and a pre-distilled approximate module over the patch dimension.
     ///
     /// # Panics
     ///
     /// Panics on shape inconsistencies.
-    pub fn new(geom: ConvGeometry, filters: &Tensor, bias: Tensor, approx: ApproxLinear) -> Self {
-        assert_eq!(filters.shape().rank(), 4, "filters must be [K,C,R,S]");
-        let k = filters.shape().dim(0);
-        assert_eq!(bias.len(), k, "bias length mismatch");
+    pub fn new(geom: ConvGeometry, filters: Tensor, bias: Tensor, approx: ApproxLinear) -> Self {
+        let proj = DualProjection::new(filters, bias, approx, MODE);
         assert_eq!(
-            approx.input_dim(),
+            proj.input_dim(),
             geom.patch_len(),
-            "approximate module must take the patch vector"
+            "filters must be [K, C·R·S]"
         );
-        assert_eq!(approx.output_dim(), k, "approximate module output mismatch");
-        Self {
-            geom,
-            filters: filters.reshaped(&[k, geom.patch_len()]),
-            bias,
-            approx,
-        }
+        Self { geom, proj }
     }
 
-    /// Distills the approximate module from the filter bank using
-    /// standard-normal patch samples.
+    /// Distills the approximate module from the filter bank
+    /// (`filters [K, C, R, S]`) using standard-normal patch samples.
     pub fn learn(
         geom: ConvGeometry,
         filters: &Tensor,
@@ -76,11 +75,9 @@ impl DualConvLayer {
         samples: usize,
         rng: &mut Rng,
     ) -> Self {
-        let k = filters.shape().dim(0);
-        let fmat = filters.reshaped(&[k, geom.patch_len()]);
-        let cfg = ApproxConfig::paper_default(reduced_dim);
-        let approx = distill::distill_linear(&fmat, bias, cfg, samples, rng);
-        Self::new(geom, filters, bias.clone(), approx)
+        let fmat = filters.reshaped(&[filters.shape().dim(0), geom.patch_len()]);
+        let proj = DualProjection::learn(&fmat, bias, MODE, reduced_dim, samples, rng);
+        Self { geom, proj }
     }
 
     /// The convolution geometry.
@@ -90,12 +87,12 @@ impl DualConvLayer {
 
     /// Output channel count `K`.
     pub fn out_channels(&self) -> usize {
-        self.filters.shape().dim(0)
+        self.proj.output_dim()
     }
 
     /// The approximate module.
     pub fn approx(&self) -> &ApproxLinear {
-        &self.approx
+        self.proj.approx()
     }
 
     /// Replaces the approximate module (fault injection / corrupted-
@@ -105,32 +102,20 @@ impl DualConvLayer {
     ///
     /// Panics if the replacement's dimensions disagree with the layer.
     pub fn set_approx(&mut self, approx: ApproxLinear) {
-        assert_eq!(
-            approx.input_dim(),
-            self.geom.patch_len(),
-            "input dim mismatch"
-        );
-        assert_eq!(
-            approx.output_dim(),
-            self.out_channels(),
-            "output dim mismatch"
-        );
-        self.approx = approx;
+        self.proj.set_approx(approx);
     }
 
     /// The filter matrix in GEMM form `[K, C·R·S]`.
     pub fn filter_matrix(&self) -> &Tensor {
-        &self.filters
+        self.proj.weight()
     }
 
     /// Dense reference execution (with ReLU).
     pub fn forward_dense(&self, input: &Tensor) -> Tensor {
-        let cols = im2col(input, &self.geom);
-        let mut y = ops::matmul(&self.filters, &cols);
-        let cols_n = y.shape().dim(1);
-        for kk in 0..self.out_channels() {
-            let b = self.bias.data()[kk];
-            for v in &mut y.data_mut()[kk * cols_n..(kk + 1) * cols_n] {
+        let mut y = ops::matmul(self.proj.weight(), &im2col(input, &self.geom));
+        let positions = y.shape().dim(1);
+        for (kk, &b) in self.proj.bias().data().iter().enumerate() {
+            for v in &mut y.data_mut()[kk * positions..(kk + 1) * positions] {
                 *v = (*v + b).max(0.0);
             }
         }
@@ -178,10 +163,6 @@ impl DualConvLayer {
         imap: Option<&SwitchingMap>,
         guard: Option<&mut SpeculationGuard>,
     ) -> DualConvOutput {
-        let k = self.out_channels();
-        let d = self.geom.patch_len();
-        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
-        let positions = oh * ow;
         if let Some(m) = imap {
             assert_eq!(
                 m.len(),
@@ -189,81 +170,41 @@ impl DualConvLayer {
                 "imap length must equal input element count"
             );
         }
+        let (k, oh, ow) = (self.out_channels(), self.geom.out_h(), self.geom.out_w());
+        let positions = oh * ow;
 
+        // Speculate and mix over every output element. Skipping a zero
+        // input costs nothing extra (ineffectual values are exact zeros),
+        // but only an IMap stops the PE from still issuing the MAC.
         let mut engine = SpeculationEngine::new();
-
-        // Speculator: approximate the whole output map.
         let cols = im2col(input, &self.geom);
-        let mut y_approx = self.approx.forward_columns(&cols); // [K, positions]
-
-        // Switching map over all output elements.
-        let flat = y_approx.reshaped(&[k * positions]);
-        let map = match guard {
-            Some(g) => engine.speculate_guarded(policy, &flat, g),
-            None => engine.speculate(policy, &flat),
-        };
-
-        // Executor + Eq. (2) mix: recompute sensitive elements exactly,
-        // in place over the approximate map; skip zero inputs in the MAC
-        // accounting only when an IMap is present (input-sparsity
-        // skipping costs nothing extra because ineffectual values are
-        // exact zeros — without an IMap the PE still issues them).
-        let cd = cols.data();
-        let fd = self.filters.data();
-        let bd = self.bias.data();
-        let count_skipped = imap.is_none();
-        engine.execute_into(&map, y_approx.data_mut(), |idx, kernel| {
-            let (kk, p) = (idx / positions, idx % positions);
-            kernel.dot(
-                bd[kk],
-                &fd[kk * d..(kk + 1) * d],
-                Gather::Column {
-                    data: cd,
-                    stride: positions,
-                    col: p,
-                },
-                MacMode::SkipZeroInputs { count_skipped },
-            )
-        });
+        let (mut output, map) =
+            self.proj
+                .forward_columns(&mut engine, policy, &cols, imap.is_none(), guard);
 
         // ReLU + §III-C correction step: predicted-effectual neurons that
-        // die in ReLU flip to insensitive in the stored OMap.
+        // die in ReLU flip to insensitive in the stored OMap, and every
+        // insensitive output is set to zero ("the ineffectual neurons are
+        // set to zero, making the OMap become the input sparsity maps for
+        // the next layer", §III-C).
         let mut omap = map.clone();
-        let mut output = y_approx;
         for (i, v) in output.data_mut().iter_mut().enumerate() {
             *v = v.max(0.0);
             if *v == 0.0 && omap.is_sensitive(i) {
                 omap.correct_to_insensitive(i);
             }
-        }
-        // Insensitive CONV outputs are set to zero ("the ineffectual
-        // neurons are set to zero, making the OMap become the input
-        // sparsity maps for the next layer", §III-C).
-        for i in 0..omap.len() {
             if !omap.is_sensitive(i) {
-                output.data_mut()[i] = 0.0;
+                *v = 0.0;
             }
         }
 
-        let channel_workloads: Vec<usize> = (0..k)
+        let channel_workloads = (0..k)
             .map(|kk| map.sensitive_count_in(kk * positions, (kk + 1) * positions))
             .collect();
-
-        let kcfg = self.approx.config().reduced_dim;
-        let report = engine.finish(EngineCosts {
-            dense_macs: (k * positions * d) as u64,
-            dense_weight_bytes: (k * d * 2) as u64,
-            speculator_macs: (k * kcfg * positions) as u64,
-            speculator_adds: (self.approx.projection().additions_per_projection() * positions)
-                as u64,
-            speculator_weight_bytes: self.approx.weight_bytes() as u64,
-            // CONV weights are reused across positions; a compute-bound
-            // layer always loads the full (small) filter bank once.
-            executor_weight_bytes: ExecutorWeightBytes::Fixed((k * d * 2) as u64),
-        });
-
+        let report = engine.finish(self.proj.costs().column_engine_costs(positions as u64));
+        output.reshape_inplace(&[k, oh, ow]);
         DualConvOutput {
-            output: output.reshaped(&[k, oh, ow]),
+            output,
             omap,
             channel_workloads,
             report,

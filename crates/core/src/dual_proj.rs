@@ -3,12 +3,15 @@
 //! Every dual-module variant in this crate is, structurally, one or more
 //! speculated GEMVs: an accurate weight matrix `[n, d]` with a bias, a
 //! distilled INT4 approximate module, a [`SpeculationEngine`] call site
-//! and an optional guard hook. Historically each layer type (FF, LSTM,
-//! GRU, CONV) hand-rolled that bundle; `DualProjection` owns it once, so
+//! and an optional guard hook. `DualProjection` owns that bundle once, so
 //! a layer is only the *composition* of its projections plus whatever
-//! dense glue (activations, gate combines, softmax) sits between them.
+//! dense glue (activations, gate combines, softmax, im2col) sits between
+//! them:
 //!
 //! * [`crate::DualModuleLayer`] is one projection + an activation,
+//! * [`crate::DualConvLayer`] is one projection batched over im2col
+//!   columns ([`DualProjection::forward_columns`]) + ReLU with the
+//!   §III-C correction,
 //! * [`crate::DualLstmCell`] / [`crate::DualGruCell`] are an
 //!   input-to-hidden and a hidden-to-hidden projection whose row
 //!   segments chain per gate,
@@ -17,10 +20,8 @@
 //! * [`crate::DualFfn`] is an expand projection with a GELU band and a
 //!   contract projection with a magnitude band.
 //!
-//! The per-row arithmetic still runs through the engine's
-//! [`RowKernel`], in the exact element order the hand-rolled variants
-//! used, so re-backed layers are bitwise identical to their
-//! pre-refactor outputs.
+//! The per-row arithmetic runs through the engine's [`RowKernel`] in
+//! element order, so every layer's outputs are bitwise stable.
 
 use crate::approx::{ApproxConfig, ApproxLinear};
 use crate::distill;
@@ -77,6 +78,20 @@ impl ProjectionCosts {
             executor_weight_bytes: ExecutorWeightBytes::CountedWords,
         }
     }
+
+    /// The [`EngineCosts`] of one [`DualProjection::forward_columns`]
+    /// call over `positions` columns: MACs and adds scale by the
+    /// positions, but the weights are loaded once and reused across them
+    /// (the compute-bound CONV model, [`ExecutorWeightBytes::Fixed`]).
+    pub fn column_engine_costs(self, positions: u64) -> EngineCosts {
+        EngineCosts {
+            dense_macs: self.dense_macs * positions,
+            speculator_macs: self.speculator_macs * positions,
+            speculator_adds: self.speculator_adds * positions,
+            executor_weight_bytes: ExecutorWeightBytes::Fixed(self.dense_weight_bytes),
+            ..self.engine_costs()
+        }
+    }
 }
 
 impl std::ops::Add for ProjectionCosts {
@@ -89,18 +104,6 @@ impl std::ops::Add for ProjectionCosts {
             speculator_adds: self.speculator_adds + rhs.speculator_adds,
             speculator_weight_bytes: self.speculator_weight_bytes + rhs.speculator_weight_bytes,
         }
-    }
-}
-
-impl std::ops::AddAssign for ProjectionCosts {
-    fn add_assign(&mut self, rhs: Self) {
-        *self = *self + rhs;
-    }
-}
-
-impl std::iter::Sum for ProjectionCosts {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(Self::default(), |a, b| a + b)
     }
 }
 
@@ -268,14 +271,47 @@ impl DualProjection {
         guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, SwitchingMap) {
         assert_eq!(x.len(), self.input_dim(), "input length mismatch");
-        let y_approx = self.speculate(x);
-        let map = match guard {
-            Some(g) => engine.speculate_guarded(policy, &y_approx, g),
-            None => engine.speculate(policy, &y_approx),
-        };
-        let mut pre = y_approx;
+        let mut pre = self.speculate(x);
+        let map = engine.speculate_guarded(policy, &pre, guard);
         let segments = [self.segment(x.data())];
         engine.execute_rows_into(&map, pre.data_mut(), 0, self.bias.data(), &segments);
+        (pre, map)
+    }
+
+    /// The same lifecycle batched over the `P` im2col columns of
+    /// `cols` `[d, P]` (a CONV layer, §III-C): one speculator GEMM, one
+    /// map over all `n · P` outputs (row-major `[n, P]`), and each
+    /// sensitive element recomputed as its row dotted with its gathered
+    /// column. Zero inputs are skipped (exact: their products are zero);
+    /// `count_skipped` says whether they still occupy issue slots, as
+    /// they do unless an IMap configures the PE tag bits (Fig. 6).
+    /// Returns the mixed `[n, P]` pre-activations and the map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` does not have `d` rows.
+    pub fn forward_columns(
+        &self,
+        engine: &mut SpeculationEngine,
+        policy: &SwitchingPolicy,
+        cols: &Tensor,
+        count_skipped: bool,
+        guard: Option<&mut SpeculationGuard>,
+    ) -> (Tensor, SwitchingMap) {
+        let (d, p) = (self.input_dim(), cols.shape().dim(1));
+        let mut pre = self.approx.forward_columns(cols);
+        let map = engine.speculate_guarded(policy, &pre, guard);
+        let (cd, wd, bd) = (cols.data(), self.weight.data(), self.bias.data());
+        let mode = MacMode::SkipZeroInputs { count_skipped };
+        engine.execute_into(&map, pre.data_mut(), |i, kernel| {
+            let (row, col) = (i / p, i % p);
+            let x = Gather::Column {
+                data: cd,
+                stride: p,
+                col,
+            };
+            kernel.dot(bd[row], &wd[row * d..(row + 1) * d], x, mode)
+        });
         (pre, map)
     }
 
@@ -379,8 +415,6 @@ mod tests {
             a.costs().speculator_adds + b.costs().speculator_adds
         );
         assert_eq!(a.costs().times(3).dense_macs, 3 * a.costs().dense_macs);
-        let summed: ProjectionCosts = [a.costs(), b.costs()].into_iter().sum();
-        assert_eq!(summed, sum);
     }
 
     #[test]

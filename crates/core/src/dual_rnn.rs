@@ -22,7 +22,6 @@ use duet_tensor::{ops, Tensor};
 
 /// Per-gate thresholds for recurrent switching.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RnnThresholds {
     /// θ for sigmoid gates (insensitive iff `|y'| > theta_sigmoid`).
     pub theta_sigmoid: f32,
@@ -215,10 +214,7 @@ impl DualLstmCell {
         let mut gate_maps = Vec::with_capacity(4);
         for (gi, policy) in policies.iter().enumerate() {
             let slice = Tensor::from_vec(a.data()[gi * h..(gi + 1) * h].to_vec(), &[h]);
-            let map = match guard.as_deref_mut() {
-                Some(g) => engine.speculate_guarded(policy, &slice, g),
-                None => engine.speculate(policy, &slice),
-            };
+            let map = engine.speculate_guarded(policy, &slice, guard.as_deref_mut());
             // A weight row is fetched only when its gate lane is
             // sensitive. Gate lane `r` maps to weight/bias row
             // `gi * h + r`; the two projections' segments chain
@@ -401,10 +397,7 @@ impl DualGruCell {
                     .collect(),
                 &[h],
             );
-            let map = match guard.as_deref_mut() {
-                Some(g) => engine.speculate_guarded(&policy, &slice, g),
-                None => engine.speculate(&policy, &slice),
-            };
+            let map = engine.speculate_guarded(&policy, &slice, guard.as_deref_mut());
             let (axd, ahd) = (ax.data_mut(), ah.data_mut());
             engine.execute(&map, |rr, kernel| {
                 let row = gi * h + rr;
@@ -429,10 +422,7 @@ impl DualGruCell {
             &[h],
         );
         let n_policy = SwitchingPolicy::tanh(thresholds.theta_tanh);
-        let n_map = match guard {
-            Some(g) => engine.speculate_guarded(&n_policy, &n_pre_approx, g),
-            None => engine.speculate(&n_policy, &n_pre_approx),
-        };
+        let n_map = engine.speculate_guarded(&n_policy, &n_pre_approx, guard);
         let (axd, ahd) = (ax.data_mut(), ah.data_mut());
         engine.execute(&n_map, |rr, kernel| {
             let row = 2 * h + rr;

@@ -1,16 +1,15 @@
 //! The shared speculation engine behind every dual-module variant.
 //!
-//! All four execution variants — FF ([`crate::DualModuleLayer`]), CONV
-//! ([`crate::DualConvLayer`]), LSTM and GRU ([`crate::DualLstmCell`],
-//! [`crate::DualGruCell`]) — implement the same §II pattern: run the
-//! approximate module, derive a switching map (Eq. 3), recompute the
-//! sensitive outputs exactly with a row-sparse kernel, and keep the
-//! approximate value everywhere else (Eq. 2). [`SpeculationEngine`] owns
-//! that pattern once: the map construction, the single sparse-execute
-//! loop, the in-place mix into the approximate buffer, the op/byte
-//! accounting behind [`SavingsReport`], and the duet-obs counters — so a
-//! variant is only the layer-specific row arithmetic it hands to
-//! [`SpeculationEngine::execute_into`].
+//! Every layer kind — FC, CONV, LSTM, GRU and attention/FFN, each a
+//! composition of [`crate::DualProjection`]s — implements the same §II
+//! pattern: run the approximate module, derive a switching map (Eq. 3),
+//! recompute the sensitive outputs exactly with a row-sparse kernel, and
+//! keep the approximate value everywhere else (Eq. 2).
+//! [`SpeculationEngine`] owns that pattern once: the map construction,
+//! the single sparse-execute loop, the in-place mix into the approximate
+//! buffer, the op/byte accounting behind [`SavingsReport`], and the
+//! duet-obs counters — so a layer only supplies the row arithmetic it
+//! hands to the engine's execute loops.
 //!
 //! An engine lives for one layer invocation (one `forward` / `step`): it
 //! opens the `core.dual.forward` span on creation, accumulates counts
@@ -96,32 +95,38 @@ impl RowKernel {
     /// every variant's historical per-row order — so results are bitwise
     /// stable across the refactor.
     pub fn dot(&mut self, init: f32, weights: &[f32], x: Gather<'_>, mode: MacMode) -> f32 {
+        // The counts stay in locals and reach `self` once per row: a store
+        // to `self` (the engine, on the caller's stack) on every MAC would
+        // stall the loop's weight and input loads whenever one matched it
+        // in the low 12 bits (4K aliasing), which depends on where the
+        // process's stack lands.
         let mut acc = init;
+        let (mut macs, mut words) = (0u64, 0u64);
         match (x, mode) {
             (Gather::Dense(xd), MacMode::SkipZeroWeights) => {
                 for (&w, &v) in weights.iter().zip(xd) {
                     if w != 0.0 {
                         acc += w * v;
-                        self.macs += 1;
-                        self.weight_words += 1;
+                        macs += 1;
                     }
                 }
+                words = macs;
             }
             (Gather::Dense(xd), MacMode::Dense) => {
                 for (&w, &v) in weights.iter().zip(xd) {
                     acc += w * v;
                 }
-                self.macs += weights.len() as u64;
-                self.weight_words += weights.len() as u64;
+                macs = weights.len() as u64;
+                words = macs;
             }
             (Gather::Column { data, stride, col }, MacMode::SkipZeroInputs { count_skipped }) => {
                 for (j, &w) in weights.iter().enumerate() {
                     let v = data[j * stride + col];
                     if v != 0.0 {
                         acc += w * v;
-                        self.macs += 1;
+                        macs += 1;
                     } else if count_skipped {
-                        self.macs += 1;
+                        macs += 1;
                     }
                 }
             }
@@ -131,29 +136,31 @@ impl RowKernel {
                 for (j, &w) in weights.iter().enumerate() {
                     acc += w * data[j * stride + col];
                 }
-                self.macs += weights.len() as u64;
-                self.weight_words += weights.len() as u64;
+                macs = weights.len() as u64;
+                words = macs;
             }
             (Gather::Column { data, stride, col }, MacMode::SkipZeroWeights) => {
                 for (j, &w) in weights.iter().enumerate() {
                     if w != 0.0 {
                         acc += w * data[j * stride + col];
-                        self.macs += 1;
-                        self.weight_words += 1;
+                        macs += 1;
                     }
                 }
+                words = macs;
             }
             (Gather::Dense(xd), MacMode::SkipZeroInputs { count_skipped }) => {
                 for (&w, &v) in weights.iter().zip(xd) {
                     if v != 0.0 {
                         acc += w * v;
-                        self.macs += 1;
+                        macs += 1;
                     } else if count_skipped {
-                        self.macs += 1;
+                        macs += 1;
                     }
                 }
             }
         }
+        self.macs += macs;
+        self.weight_words += words;
         acc
     }
 
@@ -285,7 +292,7 @@ impl SpeculationEngine {
         map
     }
 
-    /// [`SpeculationEngine::speculate`] watched by a
+    /// [`SpeculationEngine::speculate`] watched by an optional
     /// [`SpeculationGuard`]: feeds the approximate pre-activations and the
     /// raw policy map's insensitive fraction to the guard, and — if the
     /// guard is tripped under [`DegradationPolicy::FallbackDense`] —
@@ -293,18 +300,19 @@ impl SpeculationEngine {
     /// bitwise-dense. This is the single call site for all `core.guard.*`
     /// telemetry.
     ///
-    /// With [`DegradationPolicy::Off`] this is exactly
-    /// [`SpeculationEngine::speculate`]: no checks, no counters, no guard
-    /// state changes.
+    /// Without a guard, or with [`DegradationPolicy::Off`], this is
+    /// exactly [`SpeculationEngine::speculate`]: no checks, no counters,
+    /// no guard state changes.
     pub fn speculate_guarded(
         &mut self,
         policy: &SwitchingPolicy,
         y_approx: &Tensor,
-        guard: &mut SpeculationGuard,
+        guard: Option<&mut SpeculationGuard>,
     ) -> SwitchingMap {
-        if matches!(guard.config().policy, DegradationPolicy::Off) {
-            return self.speculate(policy, y_approx);
-        }
+        let guard = match guard {
+            Some(g) if !matches!(g.config().policy, DegradationPolicy::Off) => g,
+            _ => return self.speculate(policy, y_approx),
+        };
         // A zero-length output says nothing about speculator health: an
         // empty map's insensitive fraction is a synthetic 0.0 that would
         // drag the EWMA out of band and trip the guard on degenerate
@@ -584,7 +592,7 @@ mod tests {
         let empty = Tensor::zeros(&[0]);
         for _ in 0..10 {
             let mut e = SpeculationEngine::new();
-            let map = e.speculate_guarded(&SwitchingPolicy::relu(0.0), &empty, &mut guard);
+            let map = e.speculate_guarded(&SwitchingPolicy::relu(0.0), &empty, Some(&mut guard));
             assert!(map.is_empty());
         }
         assert!(!guard.is_tripped());
@@ -594,7 +602,7 @@ mod tests {
         // empty rounds never happened
         let mut e = SpeculationEngine::new();
         let y = Tensor::from_vec(vec![-1.0, -2.0, 3.0, 4.0], &[4]);
-        e.speculate_guarded(&SwitchingPolicy::relu(0.0), &y, &mut guard);
+        e.speculate_guarded(&SwitchingPolicy::relu(0.0), &y, Some(&mut guard));
         assert!(!guard.is_tripped());
         assert_eq!(guard.stats().checks, 1);
     }

@@ -31,7 +31,6 @@
 
 /// What a tripped guard does to the layer it watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DegradationPolicy {
     /// Watchdog disabled: no checks, no telemetry, bitwise identical to
     /// the unguarded path.
@@ -45,7 +44,6 @@ pub enum DegradationPolicy {
 
 /// The calibrated operating band for a layer's insensitive fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SwitchRateBand {
     /// Lowest healthy insensitive fraction (inclusive).
     pub lo: f64,
@@ -68,7 +66,6 @@ impl SwitchRateBand {
 
 /// Tuning knobs of the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GuardConfig {
     /// What a trip does.
     pub policy: DegradationPolicy,
@@ -122,7 +119,6 @@ impl GuardConfig {
 
 /// Running counters of one guard (monotonic over its lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GuardStats {
     /// Observations made (one per guarded `speculate`).
     pub checks: u64,

@@ -20,8 +20,9 @@
 //! * [`SwitchingPolicy`] / [`SwitchingMap`] — Eq. (2)–(3) dynamic
 //!   switching,
 //! * [`DualProjection`] — one speculated GEMV (weights + INT4
-//!   speculator + engine call site + guard hook); every layer below is
-//!   a composition of projections,
+//!   speculator + engine call site + guard hook), or a batch of them
+//!   over im2col columns; every layer below is a composition of
+//!   projections,
 //! * [`DualModuleLayer`], [`DualConvLayer`], [`DualLstmCell`],
 //!   [`DualGruCell`] — dual-module execution for FF, CONV, LSTM and GRU
 //!   layers,

@@ -8,7 +8,6 @@ use std::ops::AddAssign;
 
 /// Operation and byte counters for one dual-module layer execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SavingsReport {
     /// MACs a dense (single-module) execution would perform.
     pub dense_macs: u64,

@@ -17,7 +17,6 @@ use duet_tensor::Tensor;
 
 /// A ternary random projection `R^d → R^k`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TernaryProjection {
     /// Entries in {-1, 0, +1}, row-major `[k, d]`.
     entries: Vec<i8>,

@@ -23,7 +23,6 @@ use duet_tensor::Tensor;
 
 /// A switching decision rule: activation type + threshold θ.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SwitchingPolicy {
     /// The activation whose insensitive region the rule exploits.
     pub activation: Activation,
@@ -111,7 +110,6 @@ impl SwitchingPolicy {
 /// `>= len` in the last word are always zero, so derived equality and
 /// word-level popcounts are exact.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SwitchingMap {
     words: Vec<u64>,
     len: usize,

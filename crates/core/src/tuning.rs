@@ -10,7 +10,6 @@ use crate::metrics::SavingsReport;
 
 /// One point of a threshold sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepPoint {
     /// The threshold evaluated.
     pub theta: f32,

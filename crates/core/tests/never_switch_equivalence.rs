@@ -15,7 +15,7 @@
 use duet_core::dual_rnn::RnnThresholds;
 use duet_core::{
     DualConvLayer, DualGruCell, DualLstmCell, DualModuleLayer, GuardConfig, SpeculationGuard,
-    SwitchingPolicy,
+    SwitchingMap, SwitchingPolicy,
 };
 use duet_nn::lstm::LstmState;
 use duet_nn::{Activation, GruCell, LstmCell};
@@ -78,6 +78,10 @@ fn ff_never_switch_is_bitwise_row_exact() {
     }
 }
 
+/// The conv contract, never-switching and also at a switching θ with and
+/// without an IMap: every element the corrected OMap keeps is bitwise
+/// ReLU of its skip-zero-input column dot, every other element is `0.0`,
+/// and the executor MACs are the hand count over the layer's own map.
 #[test]
 fn conv_never_switch_is_bitwise_element_exact() {
     for (seed, c, s, k) in [(21u64, 2usize, 6usize, 4usize), (22, 3, 8, 8)] {
@@ -95,43 +99,84 @@ fn conv_never_switch_is_bitwise_element_exact() {
         let bias = rng::normal(&mut r, &[k], 0.0, 0.05);
         let layer = DualConvLayer::learn(geom, &filters, &bias, 12, 200, &mut r);
         let x = rng::normal(&mut r, &[c, s, s], 0.0, 1.0);
-
-        let out = layer.forward(&x, &SwitchingPolicy::never_switch(), None);
+        // a rectified input, as a previous layer's ReLU leaves it, and
+        // its non-zero flags as the IMap
+        let xr = x.map(|v| v.max(0.0));
+        let imap = SwitchingMap::from_flags(xr.data().iter().map(|&v| v != 0.0).collect());
         let positions = geom.out_h() * geom.out_w();
         let d = geom.patch_len();
-        assert_eq!(
-            out.report.outputs_exact,
-            (k * positions) as u64,
-            "seed {seed}"
-        );
-
-        // bitwise: the conv kernel skips zero *inputs* (exact, the
-        // products are zero) and applies ReLU after
-        let cols = im2col(&x, &geom);
-        let cd = cols.data();
         let fd = layer.filter_matrix().data();
-        for kk in 0..k {
-            for p in 0..positions {
-                let mut acc = bias.data()[kk];
-                for (j, &w) in fd[kk * d..(kk + 1) * d].iter().enumerate() {
-                    let v = cd[j * positions + p];
-                    if v != 0.0 {
-                        acc += w * v;
+
+        let never = SwitchingPolicy::never_switch();
+        let relu = SwitchingPolicy::relu(0.0);
+        for (case, policy, input, imap) in [
+            ("never", &never, &x, None),
+            ("relu+imap", &relu, &xr, Some(&imap)),
+            ("relu", &relu, &xr, None),
+        ] {
+            let out = layer.forward(input, policy, imap);
+            let cols = im2col(input, &geom);
+            let cd = cols.data();
+            // the layer's own map, before the ReLU correction
+            let map = policy.map(&layer.approx().forward_columns(&cols));
+            let mut want_macs = 0u64;
+            for kk in 0..k {
+                let lanes = kk * positions..(kk + 1) * positions;
+                assert_eq!(
+                    out.channel_workloads[kk],
+                    map.sensitive_count_in(lanes.start, lanes.end),
+                    "{case} seed {seed} ch {kk} workload"
+                );
+                for p in 0..positions {
+                    let i = kk * positions + p;
+                    // the conv kernel skips zero *inputs* (exact, the
+                    // products are zero); only an IMap makes them free
+                    let mut acc = bias.data()[kk];
+                    let mut macs = 0u64;
+                    for (j, &w) in fd[kk * d..(kk + 1) * d].iter().enumerate() {
+                        let v = cd[j * positions + p];
+                        if v != 0.0 {
+                            acc += w * v;
+                            macs += 1;
+                        } else if imap.is_none() {
+                            macs += 1;
+                        }
+                    }
+                    if map.is_sensitive(i) {
+                        want_macs += macs;
+                    }
+                    let got = out.output.data()[i];
+                    if out.omap.is_sensitive(i) {
+                        assert!(map.is_sensitive(i), "{case} seed {seed} elem {i}");
+                        assert_eq!(got, acc.max(0.0), "{case} seed {seed} elem {i}");
+                    } else {
+                        assert_eq!(got, 0.0, "{case} seed {seed} elem {i} not zeroed");
                     }
                 }
-                let want = acc.max(0.0);
-                assert_eq!(
-                    out.output.data()[kk * positions + p],
-                    want,
-                    "seed {seed} ch {kk} pos {p} not bitwise"
+            }
+            assert_eq!(
+                out.report.executor_macs, want_macs,
+                "{case} seed {seed} executor MACs"
+            );
+            assert_eq!(
+                out.report.outputs_exact,
+                map.sensitive_count() as u64,
+                "{case} seed {seed}"
+            );
+            if case == "never" {
+                assert_eq!(map.sensitive_count(), k * positions, "seed {seed}");
+                assert_close(
+                    out.output.data(),
+                    layer.forward_dense(&x).data(),
+                    &format!("conv seed {seed} vs dense"),
+                );
+            } else {
+                assert!(
+                    map.sensitive_count() < k * positions,
+                    "{case} seed {seed}: θ must switch"
                 );
             }
         }
-        assert_close(
-            out.output.data(),
-            layer.forward_dense(&x).data(),
-            &format!("conv seed {seed} vs dense"),
-        );
     }
 }
 

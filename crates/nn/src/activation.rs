@@ -9,7 +9,6 @@ use duet_tensor::Tensor;
 
 /// Activation functions used by the paper's benchmark models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Activation {
     /// Rectified linear unit — CNN workhorse.
     Relu,

@@ -9,7 +9,6 @@ use duet_tensor::Tensor;
 
 /// Per-channel batch-norm parameters in inference form.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchNorm2d {
     /// Learned scale γ, one per channel.
     pub gamma: Tensor,

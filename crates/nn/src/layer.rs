@@ -6,7 +6,6 @@ use duet_tensor::Tensor;
 /// A trainable parameter: value, accumulated gradient, and the first/second
 /// moment buffers used by momentum and Adam.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Param {
     /// Current value.
     pub value: Tensor,

@@ -5,7 +5,6 @@ use crate::layer::Param;
 /// Gradient-descent optimizers. One `Optimizer` value is shared across all
 /// parameters of a model; per-parameter state lives in [`Param`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Optimizer {
     /// Plain stochastic gradient descent.
     Sgd {

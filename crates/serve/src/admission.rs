@@ -11,7 +11,6 @@
 
 /// Admission knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdmissionConfig {
     /// Outstanding requests (queued + in flight) a tenant may hold
     /// before degradation starts.
@@ -36,7 +35,6 @@ impl AdmissionConfig {
 
 /// Outstanding-work counters for one tenant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantLoad {
     /// Requests sitting in the micro-batcher.
     pub queued: usize,

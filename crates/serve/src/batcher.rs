@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 /// Batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatcherConfig {
     /// Maximum requests coalesced into one batch (≥ 1).
     pub max_batch: usize,

@@ -22,7 +22,6 @@ use duet_tensor::rng::seeded;
 
 /// What a chaos event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChaosKind {
     /// Force-trip one replica's guard (as if it had observed a burst of
     /// anomalies): the replica serves dense and is quarantined until the
@@ -70,7 +69,6 @@ pub enum ChaosKind {
 
 /// One planned fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChaosEvent {
     /// Virtual tick at which the event fires (applied when the server
     /// clock first reaches it).
@@ -81,7 +79,6 @@ pub struct ChaosEvent {
 
 /// Campaign shape: how many of each fault class to plan over a horizon.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChaosConfig {
     /// Campaign seed; everything below derives from it.
     pub seed: u64,
@@ -142,7 +139,6 @@ pub struct ChaosTopology {
 
 /// Counters of what a campaign actually did when applied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChaosReport {
     /// Guards force-tripped.
     pub guard_trips: u64,

@@ -109,7 +109,6 @@ impl ModelVariant {
 
 /// How overload degrades θ, per admission level.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OverloadPolicy {
     /// Full-quality policy at level 0 (tuned offline per model).
     pub base: SwitchingPolicy,

@@ -14,7 +14,6 @@ use std::fmt;
 /// every flight-recorder event ([`duet_obs::event`]) the request
 /// produces, so a causal trace joins on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -25,17 +24,14 @@ impl fmt::Display for RequestId {
 
 /// Identifies a tenant (a customer sharing the service).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantId(pub u32);
 
 /// Identifies a served model (an index into the server's model table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelId(pub u32);
 
 /// One inference request as it enters the queue.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InferenceRequest {
     /// Unique, monotonically increasing request id.
     pub id: RequestId,
@@ -51,7 +47,6 @@ pub struct InferenceRequest {
 
 /// One completed inference.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InferenceResponse {
     /// Id of the request this answers.
     pub id: RequestId,

@@ -117,7 +117,6 @@ impl std::error::Error for SubmitError {}
 /// level table. `None` (the default) replays the static
 /// level → θ table bitwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServeControl {
     /// Proportional gain mapping switch-rate error to a θ step.
     pub gain: f32,
@@ -171,7 +170,6 @@ pub struct ControlSample {
 
 /// Server-wide configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServeConfig {
     /// Replicas instantiated per model (≥ 1).
     pub replicas_per_model: usize,

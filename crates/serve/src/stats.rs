@@ -25,7 +25,6 @@ pub fn percentile(sorted: &[u64], p: u64) -> u64 {
 
 /// SLO summary for one tenant.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantSlo {
     /// Tenant display name.
     pub name: String,
@@ -63,7 +62,6 @@ impl TenantSlo {
 
 /// End-of-run report of one serving session.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServeReport {
     /// Requests submitted.
     pub submitted: u64,

@@ -20,7 +20,6 @@ use duet_tensor::rng::{self, seeded};
 
 /// How a tenant draws inter-arrival gaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrivalModel {
     /// Uniform gap on `[1, 2·mean − 1]`: bursty enough to exercise the
     /// batcher, tame enough for steady-state studies.
@@ -41,7 +40,6 @@ pub enum ArrivalModel {
 /// `1 + amplitude · sin(2π·t / period_ticks)`, so gaps shrink at the
 /// peak and stretch in the trough.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Diurnal {
     /// Length of one full cycle in virtual ticks (≥ 1).
     pub period_ticks: u64,
@@ -51,7 +49,6 @@ pub struct Diurnal {
 
 /// Load profile of one tenant.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantProfile {
     /// Display name (used for per-tenant metric keys and reports).
     pub name: String,
@@ -83,7 +80,6 @@ impl TenantProfile {
 
 /// Configuration of a generated trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceConfig {
     /// Seed for the whole trace.
     pub seed: u64,

@@ -10,7 +10,6 @@ use crate::config::ArchConfig;
 
 /// Per-unit area constants (mm², 65 nm-class).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaModel {
     /// One Executor PE (16-bit MAC + local buffers + LUT control).
     pub pe_mm2: f64,
@@ -47,7 +46,6 @@ impl Default for AreaModel {
 
 /// Component areas for a configuration — the rows of Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaReport {
     /// Executor PE array.
     pub executor_mm2: f64,

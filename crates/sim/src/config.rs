@@ -3,7 +3,6 @@
 /// Feature toggles for the Executor's computation-skipping machinery —
 /// the ablation axes of Fig. 12(a): OS, BOS, IOS, DUET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecutorFeatures {
     /// Skip outputs flagged insensitive by the switching map (OS).
     pub output_switching: bool,
@@ -80,7 +79,6 @@ impl ExecutorFeatures {
 
 /// Speculator sizing (§III-B; swept in Fig. 13(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpeculatorConfig {
     /// Systolic array rows.
     pub systolic_rows: usize,
@@ -108,7 +106,6 @@ impl SpeculatorConfig {
 
 /// Top-level DUET architecture configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArchConfig {
     /// Executor PE array rows (one output channel / weight row per row).
     pub pe_rows: usize,

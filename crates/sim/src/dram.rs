@@ -6,7 +6,6 @@ use crate::energy::EnergyTable;
 
 /// A DRAM transfer request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramTransfer {
     /// Bytes moved.
     pub bytes: u64,
@@ -31,7 +30,6 @@ impl DramTransfer {
 
 /// Aggregate DRAM channel statistics for a simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramStats {
     /// Total bytes read.
     pub read_bytes: u64,

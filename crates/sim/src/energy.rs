@@ -12,7 +12,6 @@ use std::ops::{Add, AddAssign};
 
 /// Per-operation / per-access energy constants in picojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyTable {
     /// One INT16 multiply-accumulate.
     pub mac_int16_pj: f64,
@@ -58,7 +57,6 @@ impl Default for EnergyTable {
 /// Energy broken down by component, in picojoules. This is the shape of
 /// the stacked bars in Fig. 12(e)/(f).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
     /// Executor MAC (and PE adder) energy.
     pub executor_compute_pj: f64,

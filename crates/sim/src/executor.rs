@@ -27,7 +27,6 @@ use crate::trace::ConvLayerTrace;
 
 /// Result of executing one CONV layer on the Executor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecutorLayerResult {
     /// Compute cycles (including imbalance stalls).
     pub compute_cycles: u64,

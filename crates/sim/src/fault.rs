@@ -34,7 +34,6 @@ use duet_tensor::rng::Rng;
 
 /// Where a fault lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultSite {
     /// Bit flips in the Speculator's quantized (INT4/QDR) weight words.
     /// A **core-side** site: it corrupts [`Int4Tensor`] payloads via
@@ -224,7 +223,6 @@ impl FaultInjector {
 /// One cell of a fault campaign: a (site, rate, point, workload)
 /// combination with its corrupted-run results.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultCampaignCell {
     /// Fault site label ([`FaultSite::label`]).
     pub site: String,

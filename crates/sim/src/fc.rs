@@ -16,7 +16,6 @@ use duet_core::switching::SwitchingMap;
 
 /// Workload of one FC layer at batch size 1.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FcLayerTrace {
     /// Layer name.
     pub name: String,
@@ -81,7 +80,6 @@ impl FcLayerTrace {
 
 /// Result of simulating one FC layer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FcRunResult {
     /// Standard per-layer report.
     pub perf: LayerPerf,

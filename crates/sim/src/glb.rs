@@ -8,7 +8,6 @@ use crate::config::ArchConfig;
 
 /// Working-set layout of one layer in the GLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GlbPlan {
     /// Bytes needed resident for weights.
     pub weight_bytes: u64,

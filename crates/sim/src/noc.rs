@@ -10,7 +10,6 @@ use crate::energy::EnergyTable;
 
 /// One multicast delivery on the NoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Multicast {
     /// 16-bit words delivered.
     pub words: u64,
@@ -43,7 +42,6 @@ impl Multicast {
 
 /// Aggregate NoC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NocStats {
     /// Total words moved.
     pub words: u64,

@@ -18,7 +18,6 @@ use duet_tensor::Tensor;
 
 /// One MAC micro-instruction: relative indices into the PE's tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MacInstruction {
     /// Input-activation index within the input tile.
     pub ia: u16,
@@ -34,7 +33,6 @@ pub struct MacInstruction {
 /// `[ih, iw]` input tile with an `[kh, kw]` filter producing a
 /// `[1, ow]` output strip (the Fig. 6 example shape).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileShape {
     /// Input tile height.
     pub ih: usize,
@@ -60,7 +58,6 @@ impl TileShape {
 
 /// A PE's instruction store plus tag configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MacInstructionLut {
     shape: TileShape,
     instructions: Vec<MacInstruction>,

@@ -10,7 +10,6 @@
 
 /// Result of one adaptive-mapping pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReorderResult {
     /// Channel IDs in their new computation order.
     pub order: Vec<usize>,
@@ -20,7 +19,6 @@ pub struct ReorderResult {
 
 /// The Reorder Unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReorderUnit {
     /// Number of buckets (the paper sizes this to the PE-row count).
     pub buckets: usize,

@@ -5,7 +5,6 @@ use crate::energy::EnergyBreakdown;
 
 /// Performance and energy of one simulated layer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerPerf {
     /// Layer name.
     pub name: String,
@@ -29,7 +28,6 @@ pub struct LayerPerf {
 
 /// Whole-model simulation result.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelPerf {
     /// Design label ("DUET", "BASE", "Eyeriss", …).
     pub design: String,

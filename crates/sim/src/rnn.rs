@@ -25,7 +25,6 @@ use duet_tensor::parallel;
 
 /// Detailed latency split for an RNN run — the Fig. 12(d) data.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RnnLatencySplit {
     /// Cycles the DRAM channel is the bottleneck.
     pub memory_cycles: u64,
@@ -44,7 +43,6 @@ impl RnnLatencySplit {
 
 /// Result of simulating one RNN layer trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RnnRunResult {
     /// Standard per-layer report.
     pub perf: LayerPerf,
@@ -56,7 +54,6 @@ pub struct RnnRunResult {
 
 /// Options for an RNN simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RnnOptions {
     /// Dual-module execution (switching maps gate compute and fetches).
     pub dual: bool,

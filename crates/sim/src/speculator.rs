@@ -12,7 +12,6 @@ use crate::trace::ConvLayerTrace;
 
 /// Result of one Speculator pass over a layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpeculatorResult {
     /// Total Speculator cycles (pipelined stages, slowest stage dominates;
     /// includes the Reorder Unit when adaptive mapping is on).

@@ -14,7 +14,6 @@ use duet_tensor::rng::Rng;
 
 /// Workload of one CONV (or im2col-lowered FF) layer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvLayerTrace {
     /// Layer name (e.g. "conv3").
     pub name: String,
@@ -155,7 +154,6 @@ impl ConvLayerTrace {
 
 /// Workload of one recurrent layer (all time steps, all gates).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RnnLayerTrace {
     /// Layer name (e.g. "lstm1").
     pub name: String,

@@ -39,7 +39,6 @@ const STAGES: usize = 6;
 /// position, then `o` per position, then `(expand, contract)` per
 /// position — `6 × seq_len` maps total.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransformerBlockTrace {
     /// Block name.
     pub name: String,
@@ -189,7 +188,6 @@ impl TransformerBlockTrace {
 
 /// Result of simulating one dual transformer block.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransformerRunResult {
     /// Standard per-layer report.
     pub perf: LayerPerf,

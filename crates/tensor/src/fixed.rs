@@ -35,7 +35,6 @@ pub const INT4_MIN: i8 = -8;
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fixed16Tensor {
     data: Vec<i16>,
     scale: f32,
@@ -142,7 +141,6 @@ impl Fixed16Tensor {
 /// [`Int4Tensor::payload_bytes`] accounts storage at the actual width
 /// (two nibbles per byte at ≤4 bits, one byte per element above).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Int4Tensor {
     data: Vec<i8>,
     scale: f32,

@@ -14,7 +14,6 @@ use crate::tensor::Tensor;
 
 /// Spatial geometry of a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvGeometry {
     /// Input channels.
     pub in_channels: usize,

@@ -17,7 +17,6 @@ use std::fmt;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Shape {
     dims: Vec<usize>,
 }

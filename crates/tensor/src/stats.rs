@@ -4,7 +4,6 @@ use crate::tensor::Tensor;
 
 /// Basic running statistics over a scalar stream.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: usize,
     sum: f64,
@@ -84,7 +83,6 @@ impl Extend<f64> for Summary {
 /// A fixed-width histogram over `[lo, hi)` with out-of-range clamping,
 /// used to characterize pre-activation distributions (Fig. 2).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f32,
     hi: f32,

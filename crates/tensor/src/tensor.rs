@@ -21,7 +21,6 @@ use std::fmt;
 /// assert_eq!(t.len(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,

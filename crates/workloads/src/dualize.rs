@@ -117,7 +117,6 @@ impl DualMlp {
 #[derive(Debug, Clone)]
 pub struct DualCnn {
     conv: DualConvLayer,
-    geom: ConvGeometry,
     pool: usize,
     head_w: Tensor,
     head_b: Tensor,
@@ -143,7 +142,6 @@ impl DualCnn {
         assert_eq!(linears.len(), 1, "expected exactly one linear head");
         let conv = convs[0];
         let geom = *conv.geometry();
-        let kk = conv.out_channels();
 
         // Gather real patch columns as calibration activations.
         let dims = calibration.inputs.shape().dims().to_vec();
@@ -177,12 +175,9 @@ impl DualCnn {
             &acts,
             r,
         );
-        let filters = fmat.reshaped(&[kk, geom.in_channels, geom.kernel_h, geom.kernel_w]);
-        let dual = DualConvLayer::new(geom, &filters, conv.bias().clone(), approx);
 
         Self {
-            conv: dual,
-            geom,
+            conv: DualConvLayer::new(geom, fmat, conv.bias().clone(), approx),
             pool: 2,
             head_w: linears[0].weight().clone(),
             head_b: linears[0].bias().clone(),
@@ -245,7 +240,7 @@ impl DualCnn {
 
     /// The conv geometry (useful for trace building).
     pub fn geometry(&self) -> &ConvGeometry {
-        &self.geom
+        self.conv.geometry()
     }
 
     /// The dual-module conv layer (for direct access to switching maps

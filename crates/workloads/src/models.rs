@@ -5,7 +5,6 @@ use duet_tensor::im2col::ConvGeometry;
 
 /// Shape of one CONV layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvShape {
     /// Layer name.
     pub name: String,
@@ -94,7 +93,6 @@ impl ConvShape {
 
 /// Shape of one recurrent layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RnnShape {
     /// Layer name.
     pub name: String,
@@ -134,7 +132,6 @@ impl RnnShape {
 
 /// The paper's benchmark suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModelZoo {
     /// AlexNet on ImageNet-shaped inputs.
     AlexNet,

@@ -14,7 +14,6 @@ use duet_tensor::Tensor;
 
 /// Per-layer sensitivity calibration for trace synthesis.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparsityCalibration {
     /// Mean fraction of *sensitive* outputs (Executor workload).
     pub mean_sensitive: f64,

