@@ -171,19 +171,21 @@ fn main() {
 
     if record {
         let overflow = duet_obs::event::overflow();
-        let mut events = duet_obs::event::take_global();
+        // A snapshot, not a drain: under DUET_TRACE the same ring holds
+        // the spans that finalize() exports at the end.
+        let mut events = duet_obs::event::snapshot_global();
         duet_obs::event::canonical_sort(&mut events);
         let rec_path = if smoke {
             "results/RECORDER_serve_smoke.jsonl"
         } else {
             "results/RECORDER_serve.jsonl"
         };
+        let jsonl = duet_obs::event::to_jsonl(&events);
         std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write(rec_path, duet_obs::event::to_jsonl(&events, true))
-            .expect("write recorder jsonl");
+        std::fs::write(rec_path, &jsonl).expect("write recorder jsonl");
         println!(
             "recorder: {} events ({} overflowed) -> {rec_path}",
-            events.len(),
+            jsonl.lines().count(),
             overflow
         );
     }

@@ -1,88 +1,27 @@
 //! Validates a Chrome trace-event JSON file produced via `DUET_TRACE`.
 //!
-//! Checks that the file parses as JSON (with the in-tree
-//! [`duet_obs::json`] parser — no external deps), contains a non-empty
-//! `traceEvents` array, and that every thread's begin/end events form a
-//! properly nested stack (each `E` closes the most recent open `B`, and
-//! nothing is left open). Exits non-zero with a diagnostic on any
-//! violation, so `verify.sh` can gate on it.
+//! Applies [`duet_obs::trace::check`]: the file parses as JSON (with the
+//! in-tree [`duet_obs::json`] parser — no external deps), contains a
+//! non-empty `traceEvents` array with sorted timestamps, and every
+//! thread's begin/end events form a properly nested stack (each `E`
+//! closes the most recent open `B`, and nothing is left open). Exits
+//! non-zero with a diagnostic on any violation, so `verify.sh` can gate
+//! on it.
 //!
 //! An optional second argument names a metrics-snapshot JSON (written by
 //! [`duet_obs::export::write_snapshot`]); its `health` object is checked
-//! and a nonzero `trace_dropped` or `recorder_overflow` prints a warning
-//! to stderr — the trace itself can still be well-formed, so this warns
-//! rather than fails.
+//! and a nonzero `recorder_overflow` prints a warning to stderr — the
+//! trace itself can still be well-formed, so this warns rather than
+//! fails.
 //!
 //! Run with: `trace_check <trace.json> [metrics.json]`
 
 use duet_obs::json::{parse, Value};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn check(path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let root = parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let events = root
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{path}: missing traceEvents array"))?;
-    if events.is_empty() {
-        return Err(format!("{path}: traceEvents is empty"));
-    }
-
-    // Per-(pid, tid) stack of open span names; duration events must nest.
-    let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
-    let mut last_ts = f64::NEG_INFINITY;
-    for (i, ev) in events.iter().enumerate() {
-        let phase = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let name = ev
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing name"))?;
-        let ts = ev
-            .get("ts")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("event {i}: missing ts"))?;
-        let pid = ev.get("pid").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-        let tid = ev.get("tid").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-
-        if ts < last_ts {
-            return Err(format!(
-                "event {i}: timestamps not sorted ({ts} < {last_ts})"
-            ));
-        }
-        last_ts = ts;
-
-        let stack = stacks.entry((pid, tid)).or_default();
-        match phase {
-            "B" => stack.push(name.to_string()),
-            "E" => match stack.pop() {
-                Some(open) if open == name => {}
-                Some(open) => {
-                    return Err(format!(
-                        "event {i}: E \"{name}\" closes open span \"{open}\" on tid {tid}"
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "event {i}: E \"{name}\" with no open span on tid {tid}"
-                    ))
-                }
-            },
-            other => return Err(format!("event {i}: unexpected phase \"{other}\"")),
-        }
-    }
-    for ((pid, tid), stack) in &stacks {
-        if let Some(open) = stack.last() {
-            return Err(format!(
-                "span \"{open}\" on pid {pid} tid {tid} never closed"
-            ));
-        }
-    }
-    Ok(events.len())
+    duet_obs::trace::check(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Warns (stderr, still exit 0) when the snapshot's `health` object
@@ -97,24 +36,15 @@ fn warn_on_lossy_telemetry(metrics_path: &str) {
         eprintln!("trace_check: warning: {metrics_path} is not valid JSON, skipping health check");
         return;
     };
-    let field = |name: &str| {
-        v.get("health")
-            .and_then(|h| h.get(name))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0) as u64
-    };
-    let dropped = field("trace_dropped");
-    let overflow = field("recorder_overflow");
-    if dropped > 0 {
-        eprintln!(
-            "trace_check: warning: {dropped} trace event(s) dropped per {metrics_path} — \
-             the trace is incomplete"
-        );
-    }
+    let overflow = v
+        .get("health")
+        .and_then(|h| h.get("recorder_overflow"))
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0) as u64;
     if overflow > 0 {
         eprintln!(
             "trace_check: warning: {overflow} recorder event(s) overwritten per {metrics_path} — \
-             raise DUET_RECORDER_CAP"
+             the trace is incomplete; raise DUET_RECORDER_CAP"
         );
     }
 }

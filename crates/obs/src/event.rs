@@ -1,31 +1,33 @@
 //! The flight recorder: a fixed-capacity, lock-light ring buffer of
-//! typed wide events for request-scoped causal tracing.
+//! typed wide events — the one event buffer of this crate.
 //!
-//! Where spans ([`crate::span`]) answer "how long did this phase take,
-//! in aggregate", the recorder answers "what happened to *this*
-//! request": every hop of the serving pipeline (enqueue, admit,
-//! batch-seal, execute, guard transition, respond) drops one [`Event`]
-//! into a pre-sized ring. The write path is cheap enough to leave on in
-//! production — one relaxed `fetch_add` to claim a slot plus one
-//! uncontended per-slot lock to store the payload — and when the
-//! recorder is disabled ([`crate::recorder_enabled`]) an emission costs
-//! exactly one relaxed atomic load.
+//! Where metrics answer "how long did this phase take, in aggregate",
+//! the ring answers "what happened, in order". While the recorder is on
+//! ([`crate::recorder_enabled`]) every hop of the serving pipeline
+//! (enqueue, admit, batch-seal, execute, guard transition, respond) drops
+//! one request [`Event`], which [`to_jsonl`] exports; while tracing is on
+//! every [`crate::span`] adds a [`EventKind::SpanBegin`] /
+//! [`EventKind::SpanEnd`] pair, which [`crate::trace::chrome_trace_json`]
+//! exports. The write path is cheap enough to leave on in production —
+//! one relaxed `fetch_add` to claim a slot plus one uncontended per-slot
+//! lock to store the payload — and a disabled emission costs exactly one
+//! relaxed atomic load.
 //!
 //! The ring **never blocks**: when full it wraps, overwriting the oldest
-//! events (flight-recorder semantics — the most recent window survives)
-//! and counting the overwritten events in [`overflow`]. Capacity comes
-//! from `DUET_RECORDER_CAP` (default [`DEFAULT_CAP`]).
+//! events of either kind (flight-recorder semantics — the most recent
+//! window survives) and counting the overwritten events in [`overflow`].
+//! Capacity comes from `DUET_RECORDER_CAP` (default [`DEFAULT_CAP`]).
 //!
 //! # Determinism
 //!
-//! Event *payloads* in this workspace are pure functions of the seeded
-//! workload (virtual ticks, MAC counts, switch rates), but emission
-//! *order* from parallel workers is not. [`canonical_sort`] orders a
-//! drained stream by `(request, kind, payload)` — every deterministic
-//! field and none of the wall-clock ones — after which a seeded replay
-//! is byte-identical at any `DUET_NUM_THREADS` when exported with
-//! [`to_jsonl`]`(…, true)` (the deterministic form, which omits
-//! `mono_ns` and the thread ordinal).
+//! Request-event *payloads* in this workspace are pure functions of the
+//! seeded workload (virtual ticks, MAC counts, switch rates), but
+//! emission *order* from parallel workers is not. [`canonical_sort`]
+//! orders a drained stream by `(request, kind, payload)` — every
+//! deterministic field and none of the wall-clock ones — after which a
+//! seeded replay is byte-identical at any `DUET_NUM_THREADS` when
+//! exported with [`to_jsonl`], which omits `mono_ns`, the thread ordinal
+//! and the span events.
 
 use crate::span::{monotonic_ns, thread_ordinal};
 use std::cell::Cell;
@@ -33,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Default ring capacity when `DUET_RECORDER_CAP` is unset: 2^18 events
-/// (~24 MiB), comfortably above a full `serve_bench` run.
+/// (~24 MiB), comfortably above a full traced `serve_bench` run.
 pub const DEFAULT_CAP: usize = 262_144;
 
 /// What an event records. Discriminants are the *causal stage order* of
@@ -41,7 +43,8 @@ pub const DEFAULT_CAP: usize = 262_144;
 /// the pipeline order: enqueue → admit → batch-seal → execute start →
 /// execute end → respond. The batch-/tenant-scoped kinds (guard
 /// transitions, admission-level changes, engine accounting) interleave
-/// by their own scope ids.
+/// by their own scope ids. The two span kinds come last and carry no
+/// scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -88,10 +91,18 @@ pub enum EventKind {
     /// `f` = setpoint error (setpoint − EWMA). The per-batch stream of
     /// these events is the controller's θ trajectory.
     ControlUpdate = 11,
+    /// A span opened while tracing (wall-clock, no scope). `a` = span
+    /// site id (its interned name and label, see [`crate::trace`]),
+    /// `c` = nesting depth on the opening thread.
+    SpanBegin = 12,
+    /// A span closed. Same payload as its [`EventKind::SpanBegin`], and
+    /// the opening thread's `tid` even when the guard was dropped on
+    /// another thread.
+    SpanEnd = 13,
 }
 
-/// Every kind, in discriminant order (used by codecs and tests).
-pub const KINDS: [EventKind; 12] = [
+/// Every kind, in discriminant order.
+pub const KINDS: [EventKind; 14] = [
     EventKind::Enqueue,
     EventKind::Admit,
     EventKind::BatchSeal,
@@ -104,6 +115,8 @@ pub const KINDS: [EventKind; 12] = [
     EventKind::ExecEnd,
     EventKind::Respond,
     EventKind::ControlUpdate,
+    EventKind::SpanBegin,
+    EventKind::SpanEnd,
 ];
 
 impl EventKind {
@@ -122,6 +135,8 @@ impl EventKind {
             EventKind::ExecEnd => "exec_end",
             EventKind::Respond => "respond",
             EventKind::ControlUpdate => "control_update",
+            EventKind::SpanBegin => "span_begin",
+            EventKind::SpanEnd => "span_end",
         }
     }
 
@@ -130,9 +145,10 @@ impl EventKind {
         KINDS.iter().copied().find(|k| k.name() == name)
     }
 
-    /// Inverse of the discriminant (binary codec).
-    pub fn from_u8(v: u8) -> Option<Self> {
-        KINDS.get(v as usize).copied()
+    /// Whether this is a span kind: a wall-clock record that the Chrome
+    /// trace exports and [`to_jsonl`] skips.
+    pub(crate) fn is_span(self) -> bool {
+        matches!(self, EventKind::SpanBegin | EventKind::SpanEnd)
     }
 }
 
@@ -145,8 +161,9 @@ pub const NO_TENANT: u32 = u32::MAX;
 /// are sequential and never reach bit 63).
 pub const BATCH_SCOPE: u64 = 1 << 63;
 
-/// One wide event. Two wall-clock fields (`mono_ns`, `tid`) plus a fully
-/// deterministic remainder; the deterministic export drops the former.
+/// One wide event. Two wall-clock fields (`mono_ns`, `tid`) plus a
+/// remainder that is deterministic for request events; [`to_jsonl`]
+/// drops the former.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Monotonic nanoseconds since the process telemetry epoch.
@@ -168,6 +185,9 @@ pub struct Event {
     /// Floating payload (rates, EWMAs); `0.0` when unused.
     pub f: f64,
 }
+
+// Spans share the ring's slots with request events; neither may grow them.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 
 /// A fixed-capacity wrapping ring of events.
 ///
@@ -297,6 +317,12 @@ pub fn current_scope() -> (u64, u32) {
     SCOPE.with(|s| s.get())
 }
 
+/// Stores one event in the global ring whatever the recorder flag says:
+/// span events gate on the trace flag instead.
+pub(crate) fn record(e: Event) {
+    global().emit(e);
+}
+
 /// Emits one event into the global recorder. Disabled path: one relaxed
 /// atomic load (the [`crate::recorder_enabled`] flag), nothing else.
 #[inline]
@@ -304,7 +330,7 @@ pub fn emit(kind: EventKind, request: u64, tenant: u32, a: u64, b: u64, c: u64, 
     if !crate::recorder_enabled() {
         return;
     }
-    global().emit(Event {
+    record(Event {
         mono_ns: monotonic_ns(),
         tid: thread_ordinal(),
         kind,
@@ -352,8 +378,8 @@ pub fn emitted() -> u64 {
 /// Sorts events by every deterministic field — `(request, kind, tenant,
 /// a, b, c, f-bits)` — and none of the wall-clock ones. Two runs of a
 /// seeded workload produce the same *multiset* of deterministic fields,
-/// so the sorted stream (exported with [`to_jsonl`]`(…, true)`) is
-/// byte-identical regardless of thread interleaving.
+/// so the sorted stream (exported with [`to_jsonl`]) is byte-identical
+/// regardless of thread interleaving.
 pub fn canonical_sort(events: &mut [Event]) {
     events.sort_by_key(|e| {
         (
@@ -377,13 +403,13 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Serializes events as JSON Lines, one object per event. With
-/// `deterministic` the wall-clock fields (`mono_ns`, `tid`) are omitted
-/// so a canonically sorted stream diffs byte-identically across runs
-/// and thread counts.
-pub fn to_jsonl(events: &[Event], deterministic: bool) -> String {
+/// Serializes the request events as JSON Lines, one object per event,
+/// skipping span events and omitting the wall-clock fields (`mono_ns`,
+/// `tid`), so a canonically sorted stream diffs byte-identically across
+/// runs and thread counts.
+pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
+    for e in events.iter().filter(|e| !e.kind.is_span()) {
         out.push_str(&format!(
             "{{\"kind\":\"{}\",\"request\":{},\"tenant\":{},\"a\":{},\"b\":{},\"c\":{},\"f\":",
             e.kind.name(),
@@ -394,16 +420,13 @@ pub fn to_jsonl(events: &[Event], deterministic: bool) -> String {
             e.c
         ));
         push_f64(&mut out, e.f);
-        if !deterministic {
-            out.push_str(&format!(",\"mono_ns\":{},\"tid\":{}", e.mono_ns, e.tid));
-        }
         out.push_str("}\n");
     }
     out
 }
 
-/// Parses a JSON Lines stream produced by [`to_jsonl`] (either form;
-/// missing wall-clock fields decode as 0).
+/// Parses a JSON Lines stream produced by [`to_jsonl`]; the wall-clock
+/// fields it omits decode as 0.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
     let mut out = Vec::new();
     for (ln, line) in text.lines().enumerate() {
@@ -417,12 +440,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
             .ok_or_else(|| format!("line {}: missing kind", ln + 1))?;
         let kind = EventKind::from_name(kind_name)
             .ok_or_else(|| format!("line {}: unknown kind \"{kind_name}\"", ln + 1))?;
-        let num = |key: &str| -> u64 {
-            v.get(key)
-                .and_then(crate::json::Value::as_f64)
-                .map(|n| n as u64)
-                .unwrap_or(0)
-        };
         let required = |key: &str| -> Result<u64, String> {
             v.get(key)
                 .and_then(crate::json::Value::as_f64)
@@ -430,8 +447,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
                 .ok_or_else(|| format!("line {}: missing {key}", ln + 1))
         };
         out.push(Event {
-            mono_ns: num("mono_ns"),
-            tid: num("tid"),
+            mono_ns: 0,
+            tid: 0,
             kind,
             request: required("request")?,
             tenant: required("tenant")? as u32,
@@ -441,82 +458,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
             f: v.get("f")
                 .and_then(crate::json::Value::as_f64)
                 .unwrap_or(0.0),
-        });
-    }
-    Ok(out)
-}
-
-/// Magic header of the binary event codec.
-pub const BINARY_MAGIC: &[u8; 8] = b"DUETREC1";
-const RECORD_BYTES: usize = 8 + 8 + 1 + 8 + 4 + 8 + 8 + 8 + 8;
-
-/// Serializes events in the fixed-width little-endian binary form
-/// (61 bytes per record behind an 8-byte magic + 8-byte count header).
-pub fn to_binary(events: &[Event]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + events.len() * RECORD_BYTES);
-    out.extend_from_slice(BINARY_MAGIC);
-    out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for e in events {
-        out.extend_from_slice(&e.mono_ns.to_le_bytes());
-        out.extend_from_slice(&e.tid.to_le_bytes());
-        out.push(e.kind as u8);
-        out.extend_from_slice(&e.request.to_le_bytes());
-        out.extend_from_slice(&e.tenant.to_le_bytes());
-        out.extend_from_slice(&e.a.to_le_bytes());
-        out.extend_from_slice(&e.b.to_le_bytes());
-        out.extend_from_slice(&e.c.to_le_bytes());
-        out.extend_from_slice(&e.f.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// Decodes [`to_binary`] output, validating the magic, the declared
-/// count against the byte length, and every kind discriminant.
-pub fn from_binary(bytes: &[u8]) -> Result<Vec<Event>, String> {
-    if bytes.len() < 16 || &bytes[..8] != BINARY_MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-    let expected = 16
-        + count
-            .checked_mul(RECORD_BYTES)
-            .ok_or_else(|| "count overflow".to_string())?;
-    if bytes.len() != expected {
-        return Err(format!(
-            "length mismatch: {} bytes, expected {expected} for {count} records",
-            bytes.len()
-        ));
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut p = 16;
-    let u64_at = |p: &mut usize| {
-        let v = u64::from_le_bytes(bytes[*p..*p + 8].try_into().expect("8 bytes"));
-        *p += 8;
-        v
-    };
-    for i in 0..count {
-        let mono_ns = u64_at(&mut p);
-        let tid = u64_at(&mut p);
-        let kind = EventKind::from_u8(bytes[p])
-            .ok_or_else(|| format!("record {i}: bad kind {}", bytes[p]))?;
-        p += 1;
-        let request = u64_at(&mut p);
-        let tenant = u32::from_le_bytes(bytes[p..p + 4].try_into().expect("4 bytes"));
-        p += 4;
-        let a = u64_at(&mut p);
-        let b = u64_at(&mut p);
-        let c = u64_at(&mut p);
-        let f = f64::from_bits(u64_at(&mut p));
-        out.push(Event {
-            mono_ns,
-            tid,
-            kind,
-            request,
-            tenant,
-            a,
-            b,
-            c,
-            f,
         });
     }
     Ok(out)
@@ -542,12 +483,11 @@ mod tests {
 
     #[test]
     fn kind_names_roundtrip() {
-        for k in KINDS {
+        for (i, k) in KINDS.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "KINDS is in discriminant order");
             assert_eq!(EventKind::from_name(k.name()), Some(k));
-            assert_eq!(EventKind::from_u8(k as u8), Some(k));
         }
         assert_eq!(EventKind::from_name("nope"), None);
-        assert_eq!(EventKind::from_u8(200), None);
     }
 
     #[test]
@@ -596,44 +536,27 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_roundtrips_both_forms() {
+    fn jsonl_roundtrips_request_events_and_skips_spans() {
         let events = vec![
             ev(EventKind::BatchSeal, 42, 17),
+            ev(EventKind::SpanBegin, NO_SCOPE, 3),
             ev(EventKind::Respond, 42, 20),
+            ev(EventKind::SpanEnd, NO_SCOPE, 3),
         ];
-        for deterministic in [false, true] {
-            let text = to_jsonl(&events, deterministic);
-            let parsed = parse_jsonl(&text).expect("parses");
-            assert_eq!(parsed.len(), 2);
-            assert_eq!(parsed[0].kind, EventKind::BatchSeal);
-            assert_eq!(parsed[0].request, 42);
-            assert_eq!(parsed[0].a, 17);
-            assert_eq!(parsed[0].f, 0.5);
-            if deterministic {
-                assert_eq!(parsed[0].mono_ns, 0, "wall clock omitted");
-            } else {
-                assert_eq!(parsed[0].mono_ns, 7);
-                assert_eq!(parsed[0].tid, 3);
-            }
-        }
-    }
-
-    #[test]
-    fn binary_roundtrips_and_validates() {
-        let events = vec![
-            ev(EventKind::GuardTrip, 9, 1),
-            ev(EventKind::GuardClear, 9, 2),
-        ];
-        let bytes = to_binary(&events);
-        let back = from_binary(&bytes).expect("roundtrip");
-        assert_eq!(back, events);
-        assert!(from_binary(b"not a recorder file").is_err());
-        let mut truncated = bytes.clone();
-        truncated.pop();
-        assert!(from_binary(&truncated).is_err());
-        let mut bad_kind = bytes;
-        bad_kind[16 + 16] = 250; // kind byte of record 0
-        assert!(from_binary(&bad_kind).is_err());
+        let text = to_jsonl(&events);
+        assert!(!text.contains("span"), "span events stay out: {text}");
+        let parsed = parse_jsonl(&text).expect("parses");
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].kind, EventKind::BatchSeal);
+        assert_eq!(parsed[0].request, 42);
+        assert_eq!(parsed[0].a, 17);
+        assert_eq!(parsed[0].f, 0.5);
+        assert_eq!(
+            (parsed[0].mono_ns, parsed[0].tid),
+            (0, 0),
+            "wall clock omitted"
+        );
+        assert_eq!(parsed[1].kind, EventKind::Respond);
     }
 
     #[test]

@@ -19,12 +19,9 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(&'static str, i64)>,
     /// `(name, summary)` for every registered histogram, sorted by name.
     pub histograms: Vec<(&'static str, HistogramSummary)>,
-    /// Trace-ring events dropped because the buffer was full: nonzero
-    /// means the Chrome trace is incomplete.
-    pub trace_dropped: u64,
-    /// Flight-recorder events overwritten before being drained: nonzero
-    /// means the event stream no longer covers the whole run
-    /// (raise `DUET_RECORDER_CAP`).
+    /// Flight-recorder events (request or span) overwritten before being
+    /// drained: nonzero means the JSONL stream or the Chrome trace no
+    /// longer covers the whole run (raise `DUET_RECORDER_CAP`).
     pub recorder_overflow: u64,
 }
 
@@ -34,7 +31,6 @@ pub fn snapshot() -> MetricsSnapshot {
         counters: registry::counters(),
         gauges: registry::gauges(),
         histograms: registry::histograms(),
-        trace_dropped: crate::trace::dropped_events(),
         recorder_overflow: crate::event::overflow(),
     }
 }
@@ -78,8 +74,6 @@ impl MetricsSnapshot {
         let mut out = String::new();
         if self.is_empty() {
             out.push_str("(no metrics registered — set DUET_METRICS=1)\n");
-            self.push_health_text(&mut out);
-            return out;
         }
         let width = self
             .counters
@@ -106,28 +100,18 @@ impl MetricsSnapshot {
                 s.max
             ));
         }
-        self.push_health_text(&mut out);
-        out
-    }
-
-    fn push_health_text(&self, out: &mut String) {
-        if self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "WARNING: {} trace event(s) dropped — trace is incomplete\n",
-                self.trace_dropped
-            ));
-        }
         if self.recorder_overflow > 0 {
             out.push_str(&format!(
                 "WARNING: {} recorder event(s) overwritten — raise DUET_RECORDER_CAP\n",
                 self.recorder_overflow
             ));
         }
+        out
     }
 
     /// Renders the snapshot as a JSON document:
     /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {...}},
-    /// "health": {"trace_dropped": N, "recorder_overflow": N}}`.
+    /// "health": {"recorder_overflow": N}}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -164,8 +148,8 @@ impl MetricsSnapshot {
         }
         out.push_str("\n  },\n");
         out.push_str(&format!(
-            "  \"health\": {{\"trace_dropped\": {}, \"recorder_overflow\": {}}}\n",
-            self.trace_dropped, self.recorder_overflow
+            "  \"health\": {{\"recorder_overflow\": {}}}\n",
+            self.recorder_overflow
         ));
         out.push_str("}\n");
         out
@@ -271,28 +255,19 @@ mod tests {
         let h = parse(&healthy.to_json()).unwrap();
         let health = h.get("health").expect("health object");
         assert_eq!(
-            health.get("trace_dropped").and_then(Value::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
             health.get("recorder_overflow").and_then(Value::as_f64),
             Some(0.0)
         );
 
         let lossy = MetricsSnapshot {
-            trace_dropped: 3,
             recorder_overflow: 9,
             ..MetricsSnapshot::default()
         };
         let text = lossy.to_text();
-        assert!(text.contains("3 trace event(s) dropped"));
+        assert!(text.contains("9 recorder event(s) overwritten"));
         assert!(text.contains("raise DUET_RECORDER_CAP"));
         let v = parse(&lossy.to_json()).unwrap();
         let health = v.get("health").unwrap();
-        assert_eq!(
-            health.get("trace_dropped").and_then(Value::as_f64),
-            Some(3.0)
-        );
         assert_eq!(
             health.get("recorder_overflow").and_then(Value::as_f64),
             Some(9.0)

@@ -89,6 +89,7 @@ impl std::error::Error for ParseError {}
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -106,6 +107,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -266,11 +268,13 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via char_indices).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                    // Consume one UTF-8 scalar: `pos` sits on a char boundary,
+                    // and decoding only this char keeps the parse linear.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -374,6 +378,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        // A quadratic scan over the rest of the input per char takes
+        // minutes on 1 MB; a linear one takes milliseconds.
+        let doc = format!("\"{}é\"", "a".repeat(1 << 20));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(v.as_str().map(str::len), Some((1 << 20) + 2));
+        assert!(elapsed.as_secs() < 5, "1 MB string took {elapsed:?}");
     }
 
     #[test]

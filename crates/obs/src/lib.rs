@@ -1,22 +1,28 @@
 //! # duet-obs
 //!
 //! Zero-dependency runtime telemetry for the DUET workspace: a global
-//! metrics registry (atomic counters, gauges, fixed-bucket histograms),
-//! RAII span timers on a monotonic clock, and two exporters — a
-//! plain-text/JSON metrics snapshot and a Chrome trace-event JSON file
-//! loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
+//! metrics registry (atomic counters, gauges, fixed-bucket histograms)
+//! with a plain-text/JSON snapshot exporter, RAII span timers on a
+//! monotonic clock, and one flight-recorder ring ([`event`]) that holds
+//! both the serving pipeline's request events and the spans' begin/end
+//! events. Two exporters split the ring by kind: [`event::to_jsonl`]
+//! writes the deterministic request events, and
+//! [`trace::chrome_trace_json`] writes the spans as a Chrome trace-event
+//! file loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
 //!
 //! The whole layer is **off by default** and costs one relaxed atomic
 //! load (plus a predictable branch) per instrumentation site when
 //! disabled, so the hot kernels can stay instrumented unconditionally.
-//! Two environment variables switch it on:
+//! Environment variables switch it on:
 //!
 //! * `DUET_METRICS=1` — enable the metrics registry; binaries that call
 //!   [`export::write_snapshot`] persist a JSON snapshot of every counter,
 //!   gauge and histogram.
-//! * `DUET_TRACE=out.json` — enable span tracing; [`finalize`] writes the
-//!   accumulated begin/end events to `out.json` in Chrome trace-event
-//!   format (per-thread tracks, nested spans).
+//! * `DUET_TRACE=out.json` — record spans in the ring; [`finalize`]
+//!   writes them to `out.json` in Chrome trace-event format (per-thread
+//!   tracks, nested spans).
+//! * `DUET_RECORDER=1` — record request events in the ring, which keeps
+//!   the most recent `DUET_RECORDER_CAP` events of both kinds.
 //!
 //! # Instrumenting code
 //!
@@ -35,7 +41,7 @@
 //! println!("{}", snap.to_text());
 //! ```
 //!
-//! Design notes live in `DESIGN.md` §6d of the workspace root.
+//! Design notes live in `DESIGN.md` §6d and §6h of the workspace root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -132,35 +138,29 @@ pub fn enabled() -> bool {
 /// Programmatically enables/disables the metrics registry (overrides
 /// `DUET_METRICS`). Used by tests and by harnesses that decide at runtime.
 pub fn set_metrics_enabled(on: bool) {
-    let _ = flags(); // force env init first so we don't lose the trace bit
-    if on {
-        FLAGS.fetch_or(FLAG_METRICS, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!FLAG_METRICS, Ordering::Relaxed);
-    }
+    set_flag(FLAG_METRICS, on);
 }
 
 /// Programmatically enables/disables span tracing (overrides
-/// `DUET_TRACE`). Events accumulate in memory until [`trace::take_events`]
-/// or [`finalize`] drains them.
+/// `DUET_TRACE`). Span events go to the flight-recorder ring
+/// ([`event`]), which [`finalize`] exports.
 pub fn set_trace_enabled(on: bool) {
-    let _ = flags();
-    if on {
-        FLAGS.fetch_or(FLAG_TRACE, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!FLAG_TRACE, Ordering::Relaxed);
-    }
+    set_flag(FLAG_TRACE, on);
 }
 
 /// Programmatically enables/disables the flight recorder (overrides
 /// `DUET_RECORDER`). The ring itself is sized once, on first use, from
 /// `DUET_RECORDER_CAP`.
 pub fn set_recorder_enabled(on: bool) {
-    let _ = flags();
+    set_flag(FLAG_RECORDER, on);
+}
+
+fn set_flag(bit: u32, on: bool) {
+    let _ = flags(); // force env init first so we don't lose the other bits
     if on {
-        FLAGS.fetch_or(FLAG_RECORDER, Ordering::Relaxed);
+        FLAGS.fetch_or(bit, Ordering::Relaxed);
     } else {
-        FLAGS.fetch_and(!FLAG_RECORDER, Ordering::Relaxed);
+        FLAGS.fetch_and(!bit, Ordering::Relaxed);
     }
 }
 
@@ -172,19 +172,20 @@ pub fn trace_env_path() -> Option<String> {
 }
 
 /// Flushes telemetry at the end of a process: if `DUET_TRACE` names a
-/// file and any events were recorded, writes the Chrome trace there and
-/// returns `Some((path, event_count))`. Call this once from `main` after
-/// the instrumented work; it is a no-op (returning `None`) when tracing
-/// is off or nothing was recorded.
+/// file and the ring holds any span events, writes them there as a
+/// Chrome trace and returns `Some((path, event_count))`. Call this once
+/// from `main` after the instrumented work; it is a no-op (returning
+/// `None`) when tracing is off or nothing was recorded. The ring is left
+/// as it is, so request events can still be exported.
 pub fn finalize() -> Option<(String, usize)> {
     let path = trace_env_path()?;
-    let events = trace::take_events();
-    if events.is_empty() {
+    let events = event::snapshot_global();
+    let spans = trace::export_order(&events);
+    if spans.is_empty() {
         return None;
     }
-    let n = events.len();
-    trace::write_chrome_trace_events(&path, &events).ok()?;
-    Some((path, n))
+    std::fs::write(&path, trace::render(&spans)).ok()?;
+    Some((path, spans.len()))
 }
 
 /// Serializes unit tests that read or toggle the global telemetry flags

@@ -3,15 +3,16 @@
 //! A [`Span`] measures the wall-clock interval between its creation and
 //! its drop. When metrics are enabled the duration lands in the histogram
 //! registered under the span's name (nanoseconds); when tracing is
-//! enabled a begin/end event pair lands in the trace buffer, tagged with
-//! a small dense thread id and the span's nesting depth on that thread,
-//! so nested spans render hierarchically per thread track in
-//! `chrome://tracing` / Perfetto.
+//! enabled a begin/end event pair lands in the flight-recorder ring
+//! ([`crate::event`]), tagged with a small dense thread id and the span's
+//! nesting depth on that thread, so nested spans render hierarchically
+//! per thread track in `chrome://tracing` / Perfetto.
 //!
 //! When both sinks are off, creating a span is a flag check that returns
 //! an inert guard — no clock read, no allocation, no atomics beyond the
 //! single relaxed flag load.
 
+use crate::event::{self, Event, EventKind, NO_SCOPE, NO_TENANT};
 use crate::trace;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,13 +30,6 @@ fn epoch() -> Instant {
 #[inline]
 pub fn monotonic_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
-}
-
-/// Monotonic microseconds since the process telemetry epoch (the unit of
-/// the Chrome trace `ts` field).
-#[inline]
-pub fn monotonic_us() -> u64 {
-    monotonic_ns() / 1_000
 }
 
 /// Small dense id of the calling thread (0 for the first thread that asks,
@@ -66,15 +60,32 @@ pub struct Span {
 #[derive(Debug)]
 struct SpanData {
     name: &'static str,
-    label: Option<String>,
     start_ns: u64,
     to_metrics: bool,
-    to_trace: bool,
+    /// Site id of the span's name and label, when tracing was on at open.
+    site: Option<u64>,
     /// Thread ordinal captured at open. `Span` is `Send`, so the end
     /// event must reuse this tid — emitting it from the dropping thread
     /// would split the B/E pair across trace tracks and unbalance them.
     tid: u64,
     depth: u32,
+}
+
+impl SpanData {
+    /// Stores this span's begin or end event, stamped `ts`, in the ring.
+    fn record(&self, kind: EventKind, site: u64, ts: u64) {
+        event::record(Event {
+            mono_ns: ts,
+            tid: self.tid,
+            kind,
+            request: NO_SCOPE,
+            tenant: NO_TENANT,
+            a: site,
+            b: 0,
+            c: u64::from(self.depth),
+            f: 0.0,
+        });
+    }
 }
 
 /// Opens a span named `name` (also the histogram key for its duration).
@@ -116,29 +127,19 @@ fn open(name: &'static str, label: Option<String>) -> Span {
         d.set(v + 1);
         v
     });
-    let tid = thread_ordinal();
-    let start_ns = monotonic_ns();
-    if to_trace {
-        trace::push_event(trace::TraceEvent {
-            name,
-            label: label.clone(),
-            begin: true,
-            ts_ns: start_ns,
-            tid,
-            depth,
-        });
+    let site = to_trace.then(|| trace::site_id(name, label));
+    let data = SpanData {
+        name,
+        to_metrics,
+        site,
+        tid: thread_ordinal(),
+        depth,
+        start_ns: monotonic_ns(),
+    };
+    if let Some(site) = site {
+        data.record(EventKind::SpanBegin, site, data.start_ns);
     }
-    Span {
-        armed: Some(SpanData {
-            name,
-            label,
-            start_ns,
-            to_metrics,
-            to_trace,
-            tid,
-            depth,
-        }),
-    }
+    Span { armed: Some(data) }
 }
 
 impl Span {
@@ -169,15 +170,8 @@ impl Drop for Span {
         if data.to_metrics {
             crate::registry::histogram(data.name).record(end_ns.saturating_sub(data.start_ns));
         }
-        if data.to_trace {
-            trace::push_event(trace::TraceEvent {
-                name: data.name,
-                label: data.label,
-                begin: false,
-                ts_ns: end_ns,
-                tid: data.tid,
-                depth: data.depth,
-            });
+        if let Some(site) = data.site {
+            data.record(EventKind::SpanEnd, site, end_ns);
         }
     }
 }
@@ -258,14 +252,15 @@ mod tests {
         let _g = crate::test_guard();
         crate::set_metrics_enabled(false);
         crate::set_trace_enabled(true);
-        drop(trace::take_events()); // clear residue from other tests
+        drop(crate::event::take_global()); // clear residue from other tests
         let s = span("obs.test.moved_span");
         let opened_on = thread_ordinal();
         std::thread::spawn(move || drop(s)).join().expect("join");
         crate::set_trace_enabled(false);
-        let events = trace::take_events();
+        let events = crate::event::take_global();
         assert_eq!(events.len(), 2);
-        assert!(events[0].begin && !events[1].begin);
+        assert_eq!(events[0].kind, EventKind::SpanBegin);
+        assert_eq!(events[1].kind, EventKind::SpanEnd);
         assert_eq!(
             events[0].tid, opened_on,
             "begin event carries the opening thread's tid"
@@ -281,6 +276,5 @@ mod tests {
         let a = monotonic_ns();
         let b = monotonic_ns();
         assert!(b >= a);
-        assert!(monotonic_us() <= monotonic_ns());
     }
 }

@@ -113,7 +113,7 @@ fn seven_concurrent_writers_sort_deterministically() {
     let expected: Vec<u64> = (0..THREADS * PER_THREAD).collect();
     assert_eq!(ids, expected, "post-sort order is the same every run");
     // The deterministic export must therefore be byte-stable too.
-    let jsonl = event::to_jsonl(&events, true);
+    let jsonl = event::to_jsonl(&events);
     let reparsed = event::parse_jsonl(&jsonl).unwrap();
     assert_eq!(reparsed.len(), events.len());
 }

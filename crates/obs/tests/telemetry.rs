@@ -1,13 +1,14 @@
 //! End-to-end telemetry tests: the disabled path stays inert, and an
-//! enabled trace session produces valid, balanced Chrome trace JSON.
+//! enabled trace session produces valid, balanced Chrome trace JSON from
+//! the flight-recorder ring.
 //!
 //! These tests toggle the process-global telemetry flags, so they
 //! serialize through a local mutex (the test harness runs the functions
 //! in this binary concurrently).
 
 use duet_obs::json::{parse, Value};
-use duet_obs::{registry, span, span_labeled, trace};
-use std::collections::HashMap;
+use duet_obs::{event, registry, span, span_labeled, trace};
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -20,11 +21,11 @@ fn disabled_path_records_nothing() {
     let _g = guard();
     duet_obs::set_metrics_enabled(false);
     duet_obs::set_trace_enabled(false);
-    let _ = trace::take_events();
+    duet_obs::set_recorder_enabled(false);
 
     let c = registry::counter("telemetry.test.disabled");
     let h = registry::histogram("telemetry.test.disabled_span");
-    let before_events = trace::events_len();
+    let before_events = event::emitted();
     for _ in 0..1000 {
         c.inc();
         let _s = span("telemetry.test.disabled_span");
@@ -32,9 +33,9 @@ fn disabled_path_records_nothing() {
     assert_eq!(c.get(), 0, "disabled counter must not move");
     assert_eq!(h.count(), 0, "disabled span must not record");
     assert_eq!(
-        trace::events_len(),
+        event::emitted(),
         before_events,
-        "disabled span must not push trace events"
+        "disabled span must not emit ring events"
     );
 }
 
@@ -69,7 +70,7 @@ fn disabled_instrumentation_is_cheap() {
 fn trace_session_emits_balanced_valid_json() {
     let _g = guard();
     duet_obs::set_metrics_enabled(false);
-    let _ = trace::take_events(); // drop stale events from other tests
+    let _ = event::take_global(); // drop stale events from other tests
     duet_obs::set_trace_enabled(true);
 
     // Nested spans on the main thread plus spans on worker threads.
@@ -89,48 +90,39 @@ fn trace_session_emits_balanced_valid_json() {
     }
     duet_obs::set_trace_enabled(false);
 
-    let events = trace::take_events();
+    let events = event::take_global();
     assert_eq!(
         events.len(),
         2 * (1 + 3 + 2 * 2),
         "one B and one E per span"
     );
 
+    // Balanced: per tid track, B/E nest like parentheses with matching
+    // names, and every track ends at depth zero.
     let json = trace::chrome_trace_json(&events);
+    assert_eq!(trace::check(&json), Ok(events.len()));
     let parsed = parse(&json).expect("chrome trace is valid JSON");
     let list = parsed
         .get("traceEvents")
         .and_then(Value::as_array)
         .expect("traceEvents array");
-    assert_eq!(list.len(), events.len());
-
-    // Balanced: per (tid) track, B/E must nest like parentheses and every
-    // track must end at depth zero with matching names.
-    let mut stacks: HashMap<u64, Vec<String>> = HashMap::new();
-    for e in list {
-        let ph = e.get("ph").and_then(Value::as_str).expect("ph");
-        let name = e.get("name").and_then(Value::as_str).expect("name");
-        let tid = e.get("tid").and_then(Value::as_f64).expect("tid") as u64;
-        let stack = stacks.entry(tid).or_default();
-        match ph {
-            "B" => stack.push(name.to_string()),
-            "E" => {
-                let open = stack.pop().expect("E without matching B");
-                assert_eq!(open, name, "E name must match the open B on tid {tid}");
-            }
-            other => panic!("unexpected ph {other:?}"),
-        }
-    }
-    for (tid, stack) in &stacks {
-        assert!(
-            stack.is_empty(),
-            "unbalanced events on tid {tid}: {stack:?}"
-        );
-    }
-    assert!(
-        stacks.len() >= 3,
-        "main + 2 workers should use distinct tids"
-    );
+    let tids: BTreeSet<u64> = list
+        .iter()
+        .map(|e| e.get("tid").and_then(Value::as_f64).expect("tid") as u64)
+        .collect();
+    assert!(tids.len() >= 3, "main + 2 workers should use distinct tids");
+    // Labels and nesting depths ride along in args.
+    let has = |name: &str, label: &str, depth: f64| {
+        list.iter().any(|e| {
+            let arg = |key: &str| e.get("args").and_then(|a| a.get(key));
+            e.get("name").and_then(Value::as_str) == Some(name)
+                && arg("label").and_then(Value::as_str) == Some(label)
+                && arg("depth").and_then(Value::as_f64) == Some(depth)
+        })
+    };
+    assert!(has("telemetry.test.outer", "run-0", 0.0));
+    assert!(has("telemetry.test.inner", "step-2", 1.0));
+    assert!(has("telemetry.test.worker", "worker-1", 0.0));
 }
 
 #[test]

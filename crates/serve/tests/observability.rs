@@ -139,12 +139,12 @@ fn stream_balances_and_stages_sum_for_every_request() {
 fn canonical_stream_is_byte_identical_across_worker_counts() {
     let _g = recorder_lock().lock().unwrap();
     let (_, base) = recorded_run(1);
-    let base_jsonl = event::to_jsonl(&base, true);
+    let base_jsonl = event::to_jsonl(&base);
     assert!(!base.is_empty());
     for workers in [4, 7] {
         let (_, events) = recorded_run(workers);
         assert_eq!(
-            event::to_jsonl(&events, true),
+            event::to_jsonl(&events),
             base_jsonl,
             "workers={workers} produced a different canonical stream"
         );

@@ -84,18 +84,23 @@ echo "== serving determinism + flight recorder (serve_bench --smoke at 1/4/7 thr
 # p50/p90/p99, occupancy — must replay byte-identically at any
 # DUET_NUM_THREADS. The binary itself asserts the two serving
 # invariants (zero dropped requests, θ-degradation under overload).
-# With DUET_RECORDER=1 the run also drains the flight recorder to
-# RECORDER_serve_smoke.jsonl, whose canonically sorted event stream must
-# be byte-identical across thread counts too. obs_report then joins the
-# stream — it exits nonzero unless every enqueue balances with a respond
-# and per-request stages sum to end-to-end latency — and its
+# With DUET_RECORDER=1 and DUET_TRACE set, one flight-recorder ring holds
+# both the request events and the spans, and the run exports both: the
+# canonically sorted request events to RECORDER_serve_smoke.jsonl, which
+# must be byte-identical across thread counts too (so no span event may
+# leak into it), and the spans to a Chrome trace, which trace_check
+# validates for the 7-thread run. obs_report then joins the stream — it
+# exits nonzero unless every enqueue balances with a respond and
+# per-request stages sum to end-to-end latency — and its
 # SERVE_REPORT_smoke.json must parse. Smoke outputs are scratch.
-rm -f results/SERVE_REPORT_smoke.json
+rm -f results/SERVE_REPORT_smoke.json results/trace_serve_smoke.json
 thread_invariant results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl -- \
-    env DUET_RECORDER=1 ./target/release/serve_bench --smoke
+    env DUET_RECORDER=1 DUET_TRACE=results/trace_serve_smoke.json ./target/release/serve_bench --smoke
+./target/release/trace_check results/trace_serve_smoke.json
 ./target/release/obs_report --smoke >/dev/null
 test -s results/SERVE_REPORT_smoke.json
-rm -f results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl results/SERVE_REPORT_smoke.json
+rm -f results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl results/SERVE_REPORT_smoke.json \
+    results/trace_serve_smoke.json
 
 echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4/7 threads) =="
 # The closed-loop θ-controller under chaos: the seeded campaign (guard
