@@ -80,7 +80,7 @@ fn flatten_into(value: &Value, path: String, out: &mut BTreeMap<String, Metric>)
             }
         }
         Value::Number(n) => {
-            out.insert(path, Metric::Number(*n));
+            out.insert(path, Metric::Number(n.as_f64()));
         }
         Value::String(s) => {
             out.insert(path, Metric::Text(s.clone()));

@@ -3,11 +3,18 @@
 //! Mirrors the Speculator pipeline of §III-B: (1) quantize the input to
 //! INT4 by truncation, (2) dimension-reduce through the ternary projection
 //! (adds only), (3) INT4 GEMV against the QDR weights, (4) dequantize.
+//!
+//! Everything that does not depend on the input is computed once, when
+//! the module is built: the weights are dequantized to `f32` (the codes
+//! stay the stored state) and the projection lists its non-zero taps. A
+//! forward then makes one quantizer pass, one tap-list projection and one
+//! GEMV, bitwise equal to quantizing, projecting and dequantizing as
+//! whole tensors on every call.
 
 use crate::projection::TernaryProjection;
-use duet_tensor::fixed::{Fixed16Tensor, Int4Tensor};
+use duet_tensor::fixed::Int4Tensor;
 use duet_tensor::rng::Rng;
-use duet_tensor::{ops, Tensor};
+use duet_tensor::{ops, quantize, Tensor};
 
 /// Precision / size configuration of an approximate module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +45,8 @@ pub struct ApproxLinear {
     projection: TernaryProjection,
     /// Quantized weights `[n, k]`.
     weights: Int4Tensor,
+    /// `weights` dequantized once, at construction: the GEMV operand.
+    dequantized: Tensor,
     bias: Tensor,
     config: ApproxConfig,
 }
@@ -56,29 +65,8 @@ impl ApproxLinear {
         bias: Tensor,
         config: ApproxConfig,
     ) -> Self {
-        assert_eq!(w_prime.shape().rank(), 2, "w' must be [n, k]");
-        assert_eq!(
-            w_prime.shape().dim(1),
-            projection.reduced_dim(),
-            "w' columns must equal reduced dim"
-        );
-        assert_eq!(
-            w_prime.shape().dim(0),
-            bias.len(),
-            "bias must match output count"
-        );
-        assert_eq!(
-            config.reduced_dim,
-            projection.reduced_dim(),
-            "config reduced_dim disagrees with projection"
-        );
         let weights = Int4Tensor::quantize_with_bits(w_prime, config.weight_bits);
-        Self {
-            projection,
-            weights,
-            bias,
-            config,
-        }
+        Self::from_quantized(projection, weights, bias, config)
     }
 
     /// Builds an approximate module directly from already-quantized
@@ -115,6 +103,7 @@ impl ApproxLinear {
         );
         Self {
             projection,
+            dequantized: weights.dequantize(),
             weights,
             bias,
             config,
@@ -158,20 +147,28 @@ impl ApproxLinear {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        // Step 1 (Quantizer): emulate the INT16→INT4 truncation by
-        // re-quantizing the float input at `activation_bits`.
-        let xq = if self.config.activation_bits >= 16 {
-            x.clone()
-        } else if self.config.activation_bits == 4 {
-            Fixed16Tensor::quantize(x).truncate_to_int4().dequantize()
-        } else {
-            Int4Tensor::quantize_with_bits(x, self.config.activation_bits).dequantize()
+        let (d, k) = (self.input_dim(), self.projection.reduced_dim());
+        assert_eq!(x.len(), d, "approximate module input length mismatch");
+        let mut work = vec![0.0f32; d + k];
+        let (xq, projected) = work.split_at_mut(d);
+        // Step 1 (Quantizer): the INT16→INT4 truncation at the paper's
+        // 4-bit activations, round-to-nearest at other narrow widths.
+        let xq: &[f32] = match self.config.activation_bits {
+            16.. => x.data(),
+            4 => {
+                quantize::fake_quantize_int4_truncated_into(x.data(), xq);
+                xq
+            }
+            bits => {
+                xq.copy_from_slice(quantize::fake_quantize_bits(x, bits).data());
+                xq
+            }
         };
         // Step 2 (Alignment Units + Adder Trees): ternary projection.
-        let projected = self.projection.project(&xq);
+        self.projection.project_into(xq, projected);
         // Step 3 (Systolic Array): low-precision GEMV.
-        let w = self.weights.dequantize();
-        let mut y = ops::gemv(&w, &projected);
+        let mut y = Tensor::zeros(&[self.output_dim()]);
+        ops::gemv_into(&self.dequantized, projected, y.data_mut());
         // Step 4: bias.
         ops::axpy(1.0, &self.bias, &mut y);
         y
@@ -186,16 +183,16 @@ impl ApproxLinear {
     /// Panics if `m` is not `[d, cols]`.
     pub fn forward_columns(&self, m: &Tensor) -> Tensor {
         assert_eq!(m.shape().dim(0), self.input_dim(), "row count mismatch");
-        let mq = if self.config.activation_bits >= 16 {
-            m.clone()
-        } else if self.config.activation_bits == 4 {
-            Fixed16Tensor::quantize(m).truncate_to_int4().dequantize()
-        } else {
-            Int4Tensor::quantize_with_bits(m, self.config.activation_bits).dequantize()
+        let projected = match self.config.activation_bits {
+            16.. => self.projection.project_columns(m),
+            4 => self
+                .projection
+                .project_columns(&quantize::fake_quantize_int4_truncated(m)),
+            bits => self
+                .projection
+                .project_columns(&quantize::fake_quantize_bits(m, bits)),
         };
-        let projected = self.projection.project_columns(&mq);
-        let w = self.weights.dequantize();
-        let mut y = ops::matmul(&w, &projected);
+        let mut y = ops::matmul(&self.dequantized, &projected);
         let cols = y.shape().dim(1);
         for i in 0..self.output_dim() {
             let b = self.bias.data()[i];
@@ -233,7 +230,7 @@ impl ApproxLinear {
         };
         Self::from_parts(
             self.projection.clone(),
-            &self.weights.dequantize(),
+            &self.dequantized,
             self.bias.clone(),
             config,
         )

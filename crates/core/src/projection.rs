@@ -10,16 +10,35 @@
 //! Because the entries are ternary, the product `Px` needs only sign flips
 //! and additions — the paper's Alignment Units + Adder Trees (§III-B
 //! step 2). [`TernaryProjection::project`] mirrors that: no
-//! multiplications on the data path.
+//! multiplications on the data path. Each row's non-zero entries are
+//! listed once, at sampling time, as taps in ascending column order, so a
+//! projection visits only the ~d/3 inputs a row actually adds.
 
 use duet_tensor::rng::Rng;
 use duet_tensor::Tensor;
+
+/// One non-zero entry of a projection row: the input column it reads and
+/// the `f32` sign bit it applies (0 for +1, [`NEGATE`] for −1). Flipping
+/// the sign bit and adding is bitwise `acc - v`, IEEE subtraction being
+/// addition of the negation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tap {
+    col: u32,
+    sign: u32,
+}
+
+/// The `f32` sign bit.
+const NEGATE: u32 = 0x8000_0000;
 
 /// A ternary random projection `R^d → R^k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TernaryProjection {
     /// Entries in {-1, 0, +1}, row-major `[k, d]`.
     entries: Vec<i8>,
+    /// The non-zero entries, row by row in ascending column order; row
+    /// `i`'s taps are `taps[row_start[i]..row_start[i + 1]]`.
+    taps: Vec<Tap>,
+    row_start: Vec<usize>,
     k: usize,
     d: usize,
     scale: f32,
@@ -38,7 +57,7 @@ impl TernaryProjection {
             k <= d,
             "reduced dim k = {k} must not exceed input dim d = {d}"
         );
-        let entries = (0..k * d)
+        let entries: Vec<i8> = (0..k * d)
             .map(|_| {
                 let u: f32 = rng.random();
                 if u < 1.0 / 6.0 {
@@ -50,12 +69,32 @@ impl TernaryProjection {
                 }
             })
             .collect();
+        let mut taps = Vec::new();
+        let mut row_start = Vec::with_capacity(k + 1);
+        for row in entries.chunks_exact(d) {
+            row_start.push(taps.len());
+            for (j, &e) in row.iter().enumerate() {
+                if e != 0 {
+                    let col = u32::try_from(j).expect("input dim fits u32");
+                    let sign = if e < 0 { NEGATE } else { 0 };
+                    taps.push(Tap { col, sign });
+                }
+            }
+        }
+        row_start.push(taps.len());
         Self {
             entries,
+            taps,
+            row_start,
             k,
             d,
             scale: (3.0 / k as f32).sqrt(),
         }
+    }
+
+    /// Row `i`'s taps.
+    fn row_taps(&self, i: usize) -> &[Tap] {
+        &self.taps[self.row_start[i]..self.row_start[i + 1]]
     }
 
     /// Input dimension `d`.
@@ -80,7 +119,7 @@ impl TernaryProjection {
 
     /// Fraction of non-zero entries (expected ≈ 1/3).
     pub fn density(&self) -> f64 {
-        self.entries.iter().filter(|&&e| e != 0).count() as f64 / self.entries.len() as f64
+        self.taps.len() as f64 / self.entries.len() as f64
     }
 
     /// Projects a vector: `x' = P x`, computed with additions and
@@ -90,23 +129,28 @@ impl TernaryProjection {
     ///
     /// Panics if `x.len() != d`.
     pub fn project(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.len(), self.d, "projection input length mismatch");
-        let xd = x.data();
         let mut out = Tensor::zeros(&[self.k]);
-        let od = out.data_mut();
-        for (i, o) in od.iter_mut().enumerate() {
-            let row = &self.entries[i * self.d..(i + 1) * self.d];
+        self.project_into(x.data(), out.data_mut());
+        out
+    }
+
+    /// [`TernaryProjection::project`] into a caller-owned `[k]` slice:
+    /// each row sums its taps' sign-flipped inputs in ascending column
+    /// order, then applies the scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != d` or `out.len() != k`.
+    pub(crate) fn project_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.d, "projection input length mismatch");
+        assert_eq!(out.len(), self.k, "projection output length mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0f32;
-            for (&e, &v) in row.iter().zip(xd) {
-                match e {
-                    1 => acc += v,
-                    -1 => acc -= v,
-                    _ => {}
-                }
+            for t in self.row_taps(i) {
+                acc += f32::from_bits(x[t.col as usize].to_bits() ^ t.sign);
             }
             *o = acc * self.scale;
         }
-        out
     }
 
     /// Projects every column of a `[d, cols]` matrix (the im2col patch
@@ -123,14 +167,11 @@ impl TernaryProjection {
         let mut out = Tensor::zeros(&[self.k, cols]);
         let od = out.data_mut();
         for i in 0..self.k {
-            let row = &self.entries[i * self.d..(i + 1) * self.d];
             let orow = &mut od[i * cols..(i + 1) * cols];
-            for (j, &e) in row.iter().enumerate() {
-                if e == 0 {
-                    continue;
-                }
+            for t in self.row_taps(i) {
+                let j = t.col as usize;
                 let mrow = &md[j * cols..(j + 1) * cols];
-                if e == 1 {
+                if t.sign == 0 {
                     for (o, &v) in orow.iter_mut().zip(mrow) {
                         *o += v;
                     }
@@ -162,7 +203,7 @@ impl TernaryProjection {
     /// Number of add/sub operations one projection costs (non-zero entry
     /// count) — the quantity the Speculator's adder tree actually performs.
     pub fn additions_per_projection(&self) -> usize {
-        self.entries.iter().filter(|&&e| e != 0).count()
+        self.taps.len()
     }
 }
 

@@ -442,16 +442,18 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
             .ok_or_else(|| format!("line {}: unknown kind \"{kind_name}\"", ln + 1))?;
         let required = |key: &str| -> Result<u64, String> {
             v.get(key)
-                .and_then(crate::json::Value::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("line {}: missing {key}", ln + 1))
+                .ok_or_else(|| format!("line {}: missing {key}", ln + 1))?
+                .as_u64()
+                .ok_or_else(|| format!("line {}: {key} is not an integer in u64", ln + 1))
         };
+        let tenant = u32::try_from(required("tenant")?)
+            .map_err(|_| format!("line {}: tenant is not an integer in u32", ln + 1))?;
         out.push(Event {
             mono_ns: 0,
             tid: 0,
             kind,
             request: required("request")?,
-            tenant: required("tenant")? as u32,
+            tenant,
             a: required("a")?,
             b: required("b")?,
             c: required("c")?,
@@ -557,6 +559,36 @@ mod tests {
             "wall clock omitted"
         );
         assert_eq!(parsed[1].kind, EventKind::Respond);
+    }
+
+    #[test]
+    fn jsonl_integers_roundtrip_exactly() {
+        // Above 2^53 an f64 would round these to a multiple of 2048.
+        let mut e = ev(EventKind::BatchExec, BATCH_SCOPE | 12345, u64::MAX - 1);
+        (e.mono_ns, e.tid, e.tenant, e.b, e.c) = (0, 0, u32::MAX, (1 << 53) + 1, u64::MAX);
+        let parsed = parse_jsonl(&to_jsonl(&[e])).expect("parses");
+        assert_eq!(parsed, [e]);
+    }
+
+    #[test]
+    fn jsonl_rejects_inexact_integer_fields() {
+        let line = |request: &str, tenant: &str| {
+            format!(
+                "{{\"kind\":\"respond\",\"request\":{request},\"tenant\":{tenant},\"a\":1,\"b\":2,\"c\":3,\"f\":0}}"
+            )
+        };
+        assert!(parse_jsonl(&line("7", "1")).is_ok());
+        for (request, tenant) in [
+            ("7.5", "1"),
+            ("-7", "1"),
+            ("7e0", "1"),
+            ("18446744073709551616", "1"),
+            ("7", "4294967296"),
+            ("7", "1.0"),
+        ] {
+            let err = parse_jsonl(&line(request, tenant)).expect_err(request);
+            assert!(err.contains("not an integer"), "{err}");
+        }
     }
 
     #[test]

@@ -17,14 +17,34 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Number(f64),
+    /// Any JSON number.
+    Number(Number),
     /// A string.
     String(String),
     /// An array.
     Array(Vec<Value>),
     /// An object (sorted by key; duplicate keys keep the last value).
     Object(BTreeMap<String, Value>),
+}
+
+/// A JSON number. An integer lexeme (no sign, fraction or exponent) that
+/// fits `u64` is kept exactly; any other number as the nearest `f64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// A non-negative integer within `u64`, exact.
+    UInt(u64),
+    /// Any other number.
+    Float(f64),
+}
+
+impl Number {
+    /// The value as an `f64` (rounded when an integer exceeds 2^53).
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Number::UInt(u) => u as f64,
+            Number::Float(f) => f,
+        }
+    }
 }
 
 impl Value {
@@ -55,7 +75,17 @@ impl Value {
     /// The numeric payload; `None` for other variants.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Number(n) => Some(*n),
+            Value::Number(n) => Some(n.as_f64()),
+            _ => None,
+        }
+    }
+
+    /// The exact value of an integer lexeme within `u64`; `None` for a
+    /// negative, fractional, exponent-form or out-of-range number and for
+    /// other variants.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(Number::UInt(u)) => Some(*u),
             _ => None,
         }
     }
@@ -319,8 +349,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        if let Ok(u) = text.parse::<u64>() {
+            return Ok(Value::Number(Number::UInt(u)));
+        }
         text.parse::<f64>()
-            .map(Value::Number)
+            .map(|f| Value::Number(Number::Float(f)))
             .map_err(|_| self.err("invalid number"))
     }
 }
@@ -334,9 +367,34 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("true").unwrap(), Value::Bool(true));
         assert_eq!(parse(" false ").unwrap(), Value::Bool(false));
-        assert_eq!(parse("42").unwrap(), Value::Number(42.0));
-        assert_eq!(parse("-1.5e3").unwrap(), Value::Number(-1500.0));
+        assert_eq!(parse("42").unwrap(), Value::Number(Number::UInt(42)));
+        assert_eq!(
+            parse("-1.5e3").unwrap(),
+            Value::Number(Number::Float(-1500.0))
+        );
         assert_eq!(parse("\"hi\"").unwrap(), Value::String("hi".into()));
+    }
+
+    #[test]
+    fn integers_within_u64_are_exact() {
+        for u in [
+            0,
+            1,
+            (1 << 53) + 1,
+            (1 << 63) | 12345,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let v = parse(&u.to_string()).unwrap();
+            assert_eq!(v.as_u64(), Some(u));
+            assert_eq!(v.as_f64(), Some(u as f64));
+        }
+        // Not an unsigned integer lexeme, or beyond u64: f64 only.
+        for text in ["-1", "1.0", "1e3", "-0", "18446744073709551616"] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert_eq!(v.as_f64(), text.parse::<f64>().ok(), "{text}");
+        }
     }
 
     #[test]

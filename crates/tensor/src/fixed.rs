@@ -6,6 +6,7 @@
 //! truncating the 12 LSBs of the INT16 representation and multiplying the
 //! scale by 2¹².
 
+use crate::quantize::{int16_code, int16_scale};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -47,17 +48,8 @@ impl Fixed16Tensor {
     ///
     /// An all-zero tensor gets scale 1.0.
     pub fn quantize(t: &Tensor) -> Self {
-        let max_abs = t.max_abs();
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / i16::MAX as f32
-        };
-        let data = t
-            .data()
-            .iter()
-            .map(|&x| (x / scale).round().clamp(i16::MIN as f32, i16::MAX as f32) as i16)
-            .collect();
+        let scale = int16_scale(t.max_abs());
+        let data = t.data().iter().map(|&x| int16_code(x, scale)).collect();
         Self {
             data,
             scale,

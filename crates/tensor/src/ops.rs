@@ -291,16 +291,35 @@ pub fn gemv(w: &Tensor, x: &Tensor) -> Tensor {
 ///
 /// Panics on dimension mismatch.
 pub fn gemv_with_threads(w: &Tensor, x: &Tensor, threads: usize) -> Tensor {
-    assert_eq!(w.shape().rank(), 2, "gemv matrix must be 2-D");
     assert_eq!(x.shape().rank(), 1, "gemv vector must be 1-D");
+    let mut y = Tensor::zeros(&[w.shape().dim(0)]);
+    gemv_rows(w, x.data(), y.data_mut(), threads);
+    y
+}
+
+/// [`gemv`] into a caller-owned output: `y = W · x`, through the same row
+/// dot and counters as [`gemv`], so the two agree bit for bit in every
+/// build; only the result allocation is left out.
+///
+/// # Panics
+///
+/// Panics if `w` is not 2-D, `x.len()` differs from its column count or
+/// `y.len()` from its row count.
+pub fn gemv_into(w: &Tensor, x: &[f32], y: &mut [f32]) {
+    gemv_rows(w, x, y, parallel::num_threads());
+}
+
+fn gemv_rows(w: &Tensor, xd: &[f32], y: &mut [f32], threads: usize) {
+    assert_eq!(w.shape().rank(), 2, "gemv matrix must be 2-D");
     let (n, d) = (w.shape().dim(0), w.shape().dim(1));
     assert_eq!(
         d,
-        x.len(),
-        "gemv dimension mismatch: {} vs {}",
+        xd.len(),
+        "gemv dimension mismatch: {} vs [{}]",
         w.shape(),
-        x.shape()
+        xd.len()
     );
+    assert_eq!(n, y.len(), "gemv output length mismatch");
     let threads = if n * d >= PAR_MIN_FLOPS {
         threads.clamp(1, n)
     } else {
@@ -312,15 +331,12 @@ pub fn gemv_with_threads(w: &Tensor, x: &Tensor, threads: usize) -> Tensor {
         duet_obs::counter!("tensor.gemv.serial_fallback").inc();
     }
     let use_simd = simd_active();
-    let mut y = Tensor::zeros(&[n]);
     let wd = w.data();
-    let xd = x.data();
-    parallel::for_each_row_chunk(y.data_mut(), n, 1, threads, |rows, chunk| {
+    parallel::for_each_row_chunk(y, n, 1, threads, |rows, chunk| {
         for (local, i) in rows.enumerate() {
             chunk[local] = dot_dispatch(use_simd, &wd[i * d..(i + 1) * d], xd);
         }
     });
-    y
 }
 
 #[inline]
@@ -555,6 +571,16 @@ mod tests {
         let xm = x.reshaped(&[3, 1]);
         let ym = matmul(&w, &xm);
         assert_eq!(y.data(), ym.data());
+    }
+
+    #[test]
+    fn gemv_into_is_bitwise_gemv() {
+        let mut r = rng::seeded(105);
+        let w = rng::normal(&mut r, &[9, 13], 0.0, 1.0);
+        let x = rng::normal(&mut r, &[13], 0.0, 1.0);
+        let mut y = vec![f32::NAN; 9];
+        gemv_into(&w, x.data(), &mut y);
+        assert_eq!(y, gemv(&w, &x).data());
     }
 
     #[test]

@@ -91,11 +91,12 @@ impl Shape {
             index.len(),
             self.dims.len()
         );
-        let strides = self.strides();
+        // Horner's rule over the dims: the same Σ index·stride as
+        // `strides()` without building the stride vector per access.
         let mut off = 0;
         for (i, (&ix, &d)) in index.iter().zip(&self.dims).enumerate() {
             assert!(ix < d, "index {ix} out of bounds for dim {i} of size {d}");
-            off += ix * strides[i];
+            off = off * d + ix;
         }
         off
     }
@@ -167,6 +168,33 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 15);
+        // Every index of shapes of rank 1–4: offset = Σ index·stride,
+        // visited in row-major order.
+        for dims in [
+            &[7][..],
+            &[1, 6],
+            &[4, 3],
+            &[2, 3, 4],
+            &[3, 1, 5],
+            &[2, 3, 1, 4],
+            &[3, 2, 4, 2],
+        ] {
+            let s = Shape::new(dims);
+            let strides = s.strides();
+            let mut index = vec![0usize; dims.len()];
+            for expected in 0..s.len() {
+                let sum: usize = index.iter().zip(&strides).map(|(i, st)| i * st).sum();
+                assert_eq!(sum, expected, "{s} at {index:?}");
+                assert_eq!(s.offset(&index), sum, "{s} at {index:?}");
+                for axis in (0..dims.len()).rev() {
+                    index[axis] += 1;
+                    if index[axis] < dims[axis] {
+                        break;
+                    }
+                    index[axis] = 0;
+                }
+            }
+        }
     }
 
     #[test]

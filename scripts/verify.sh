@@ -137,6 +137,25 @@ echo "== bench regression gate (bench_check vs results/baselines) =="
 # and commit the updated results/baselines/.
 ./target/release/bench_check
 
+echo "== perfbench (build, tests, traced lm + cnn replays) =="
+# The wall-clock benchmark is a package of its own that calls the
+# library's public pieces (DualProjection::speculate,
+# ApproxLinear::forward_columns, DualLstmCell::approx_preactivations,
+# TernaryProjection::additions_per_projection, Tensor::at), so nothing
+# above builds it. A traced run replays each layer from those pieces and
+# reports the per-layer split only when the replay is bitwise equal to
+# the library's own forward; a run that exits nonzero failed a check.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+for w in lm cnn; do
+    out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seconds 1 --trace 1)
+    if ! grep -qF "replay of public pieces is bitwise equal to the layer forward" <<<"$out"; then
+        echo "perfbench $w: the replay differs from the layer forward" >&2
+        exit 1
+    fi
+done
+
 echo "== serve determinism test (DUET_NUM_THREADS=4) =="
 # The in-process workers sweep {1,4,7} plus the env-driven path must
 # agree bit for bit when the env pins a different pool width.
