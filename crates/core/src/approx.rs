@@ -147,31 +147,50 @@ impl ApproxLinear {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        let mut y = Tensor::zeros(&[self.output_dim()]);
+        self.forward_into(x.data(), y.data_mut(), &mut Vec::new());
+        y
+    }
+
+    /// [`ApproxLinear::forward`] into the caller's `out` (`[n]`), with
+    /// `work` as the quantizer and projection scratch. `work` grows to
+    /// `d + k` on first use; after that a forward at 4-bit or ≥16-bit
+    /// activations allocates nothing, unless its GEMV is large enough to
+    /// fan out over threads (`ops::PAR_MIN_FLOPS`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension or
+    /// `out.len()` from the output dimension.
+    pub fn forward_into(&self, x: &[f32], out: &mut [f32], work: &mut Vec<f32>) {
         let (d, k) = (self.input_dim(), self.projection.reduced_dim());
         assert_eq!(x.len(), d, "approximate module input length mismatch");
-        let mut work = vec![0.0f32; d + k];
-        let (xq, projected) = work.split_at_mut(d);
+        if work.len() < d + k {
+            work.resize(d + k, 0.0);
+        }
+        let (xq, projected) = work[..d + k].split_at_mut(d);
         // Step 1 (Quantizer): the INT16→INT4 truncation at the paper's
         // 4-bit activations, round-to-nearest at other narrow widths.
         let xq: &[f32] = match self.config.activation_bits {
-            16.. => x.data(),
+            16.. => x,
             4 => {
-                quantize::fake_quantize_int4_truncated_into(x.data(), xq);
+                quantize::fake_quantize_int4_truncated_into(x, xq);
                 xq
             }
             bits => {
-                xq.copy_from_slice(quantize::fake_quantize_bits(x, bits).data());
+                let t = Tensor::from_vec(x.to_vec(), &[d]);
+                xq.copy_from_slice(quantize::fake_quantize_bits(&t, bits).data());
                 xq
             }
         };
         // Step 2 (Alignment Units + Adder Trees): ternary projection.
         self.projection.project_into(xq, projected);
         // Step 3 (Systolic Array): low-precision GEMV.
-        let mut y = Tensor::zeros(&[self.output_dim()]);
-        ops::gemv_into(&self.dequantized, projected, y.data_mut());
+        ops::gemv_into(&self.dequantized, projected, out);
         // Step 4: bias.
-        ops::axpy(1.0, &self.bias, &mut y);
-        y
+        for (y, &b) in out.iter_mut().zip(self.bias.data()) {
+            *y += b;
+        }
     }
 
     /// Forward for every column of a `[d, cols]` matrix; returns

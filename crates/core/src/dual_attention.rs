@@ -159,32 +159,34 @@ impl DualAttention {
         let m = self.m;
         let policy = SwitchingPolicy::magnitude(theta_attn);
 
-        let mut q_all = Vec::with_capacity(t_len * m);
-        let mut k_all = Vec::with_capacity(t_len * m);
-        let mut v_all = Vec::with_capacity(t_len * m);
+        let mut q_all = vec![0.0f32; t_len * m];
+        let mut k_all = vec![0.0f32; t_len * m];
+        let mut v_all = vec![0.0f32; t_len * m];
         let mut maps = Vec::with_capacity(4 * t_len);
         for t in 0..t_len {
-            let x_t = Tensor::from_vec(xs.data()[t * m..(t + 1) * m].to_vec(), &[m]);
-            let (q, mq) = self.wq.forward(engine, &policy, &x_t, guard.as_deref_mut());
-            let (k, mk) = self.wk.forward(engine, &policy, &x_t, guard.as_deref_mut());
-            let (v, mv) = self.wv.forward(engine, &policy, &x_t, guard.as_deref_mut());
-            q_all.extend_from_slice(q.data());
-            k_all.extend_from_slice(k.data());
-            v_all.extend_from_slice(v.data());
-            maps.push(mq);
-            maps.push(mk);
-            maps.push(mv);
+            let rows = t * m..(t + 1) * m;
+            let x_t = &xs.data()[rows.clone()];
+            for (proj, out) in [
+                (&self.wq, &mut q_all),
+                (&self.wk, &mut k_all),
+                (&self.wv, &mut v_all),
+            ] {
+                let out = &mut out[rows.clone()];
+                maps.push(proj.forward_into(engine, &policy, x_t, out, guard.as_deref_mut()));
+            }
         }
 
         let mut out = Tensor::zeros(&[t_len, m]);
         for t in 0..t_len {
-            let q_t = Tensor::from_vec(q_all[t * m..(t + 1) * m].to_vec(), &[m]);
-            let keys = Tensor::from_vec(k_all[..(t + 1) * m].to_vec(), &[t + 1, m]);
-            let values = Tensor::from_vec(v_all[..(t + 1) * m].to_vec(), &[t + 1, m]);
-            let (ctx, _) = attend(&q_t, &keys, &values);
-            let (attn, mo) = self.wo.forward(engine, &policy, &ctx, guard.as_deref_mut());
-            out.data_mut()[t * m..(t + 1) * m].copy_from_slice(attn.data());
-            maps.push(mo);
+            let ctx = Self::context(&q_all, &k_all, &v_all, t, m);
+            let out_t = &mut out.data_mut()[t * m..(t + 1) * m];
+            maps.push(self.wo.forward_into(
+                engine,
+                &policy,
+                ctx.data(),
+                out_t,
+                guard.as_deref_mut(),
+            ));
         }
         (out, maps)
     }
@@ -198,25 +200,34 @@ impl DualAttention {
         assert_eq!(xs.shape().dim(1), self.m, "model dim mismatch");
         let t_len = xs.shape().dim(0);
         let m = self.m;
-        let mut k_all = Vec::with_capacity(t_len * m);
-        let mut v_all = Vec::with_capacity(t_len * m);
-        let mut q_all = Vec::with_capacity(t_len * m);
+        let mut q_all = vec![0.0f32; t_len * m];
+        let mut k_all = vec![0.0f32; t_len * m];
+        let mut v_all = vec![0.0f32; t_len * m];
         for t in 0..t_len {
-            let x_t = Tensor::from_vec(xs.data()[t * m..(t + 1) * m].to_vec(), &[m]);
-            q_all.extend_from_slice(self.wq.forward_reference(&x_t).data());
-            k_all.extend_from_slice(self.wk.forward_reference(&x_t).data());
-            v_all.extend_from_slice(self.wv.forward_reference(&x_t).data());
+            let rows = t * m..(t + 1) * m;
+            let x_t = &xs.data()[rows.clone()];
+            self.wq
+                .forward_reference_into(x_t, &mut q_all[rows.clone()]);
+            self.wk
+                .forward_reference_into(x_t, &mut k_all[rows.clone()]);
+            self.wv.forward_reference_into(x_t, &mut v_all[rows]);
         }
         let mut out = Tensor::zeros(&[t_len, m]);
         for t in 0..t_len {
-            let q_t = Tensor::from_vec(q_all[t * m..(t + 1) * m].to_vec(), &[m]);
-            let keys = Tensor::from_vec(k_all[..(t + 1) * m].to_vec(), &[t + 1, m]);
-            let values = Tensor::from_vec(v_all[..(t + 1) * m].to_vec(), &[t + 1, m]);
-            let (ctx, _) = attend(&q_t, &keys, &values);
-            out.data_mut()[t * m..(t + 1) * m]
-                .copy_from_slice(self.wo.forward_reference(&ctx).data());
+            let ctx = Self::context(&q_all, &k_all, &v_all, t, m);
+            self.wo
+                .forward_reference_into(ctx.data(), &mut out.data_mut()[t * m..(t + 1) * m]);
         }
         out
+    }
+
+    /// Position `t`'s causal context: its query against the key/value
+    /// prefix `0..=t`.
+    fn context(q_all: &[f32], k_all: &[f32], v_all: &[f32], t: usize, m: usize) -> Tensor {
+        let q_t = Tensor::from_vec(q_all[t * m..(t + 1) * m].to_vec(), &[m]);
+        let keys = Tensor::from_vec(k_all[..(t + 1) * m].to_vec(), &[t + 1, m]);
+        let values = Tensor::from_vec(v_all[..(t + 1) * m].to_vec(), &[t + 1, m]);
+        attend(&q_t, &keys, &values).0
     }
 }
 
@@ -287,26 +298,71 @@ impl DualFfn {
         x: &Tensor,
         theta_gelu: f32,
         theta_out: f32,
-        mut guard: Option<&mut SpeculationGuard>,
+        guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, [SwitchingMap; 2]) {
-        let (h_pre, m1) = self.expand.forward(
+        let mut y = Tensor::zeros(&[self.model_dim()]);
+        let maps = self.forward_into(engine, x.data(), y.data_mut(), theta_gelu, theta_out, guard);
+        (y, maps)
+    }
+
+    /// [`DualFfn::forward_with`] into the caller's `out` (`[m]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` is not `[m]`.
+    pub fn forward_into(
+        &self,
+        engine: &mut SpeculationEngine,
+        x: &[f32],
+        out: &mut [f32],
+        theta_gelu: f32,
+        theta_out: f32,
+        mut guard: Option<&mut SpeculationGuard>,
+    ) -> [SwitchingMap; 2] {
+        let mut h = vec![0.0f32; self.hidden_dim()];
+        let m1 = self.expand.forward_into(
             engine,
             &SwitchingPolicy::gelu(theta_gelu),
             x,
+            &mut h,
             guard.as_deref_mut(),
         );
-        let h = Activation::Gelu.apply(&h_pre);
-        let (y, m2) =
-            self.contract
-                .forward(engine, &SwitchingPolicy::magnitude(theta_out), &h, guard);
-        (y, [m1, m2])
+        gelu_in_place(&mut h);
+        let m2 = self.contract.forward_into(
+            engine,
+            &SwitchingPolicy::magnitude(theta_out),
+            &h,
+            out,
+            guard,
+        );
+        [m1, m2]
     }
 
     /// Dense reference in the sparse path's arithmetic order —
     /// bitwise-equal to [`DualFfn::forward_with`] at θ = −∞.
     pub fn forward_reference(&self, x: &Tensor) -> Tensor {
-        let h = Activation::Gelu.apply(&self.expand.forward_reference(x));
-        self.contract.forward_reference(&h)
+        let mut y = Tensor::zeros(&[self.model_dim()]);
+        self.forward_reference_into(x.data(), y.data_mut());
+        y
+    }
+
+    /// [`DualFfn::forward_reference`] into the caller's `out` (`[m]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` is not `[m]`.
+    pub fn forward_reference_into(&self, x: &[f32], out: &mut [f32]) {
+        let mut h = vec![0.0f32; self.hidden_dim()];
+        self.expand.forward_reference_into(x, &mut h);
+        gelu_in_place(&mut h);
+        self.contract.forward_reference_into(&h, out);
+    }
+}
+
+/// [`Activation::Gelu`] element-wise, in place.
+fn gelu_in_place(h: &mut [f32]) {
+    for v in h {
+        *v = Activation::Gelu.apply_scalar(*v);
     }
 }
 
@@ -406,19 +462,18 @@ impl DualTransformerBlock {
 
         // FFN per position + residual 2
         let mut out = a.clone();
+        let mut y_t = vec![0.0f32; m];
         for t in 0..t_len {
-            let a_t = Tensor::from_vec(a.data()[t * m..(t + 1) * m].to_vec(), &[m]);
-            let (y_t, [m1, m2]) = self.ffn.forward_with(
+            let rows = t * m..(t + 1) * m;
+            let [m1, m2] = self.ffn.forward_into(
                 &mut engine,
-                &a_t,
+                &a.data()[rows.clone()],
+                &mut y_t,
                 thresholds.theta_gelu,
                 thresholds.theta_ffn_out,
                 guard.as_deref_mut(),
             );
-            for (ov, &yv) in out.data_mut()[t * m..(t + 1) * m]
-                .iter_mut()
-                .zip(y_t.data())
-            {
+            for (ov, &yv) in out.data_mut()[rows].iter_mut().zip(&y_t) {
                 *ov += yv;
             }
             maps.push(m1);
@@ -447,13 +502,12 @@ impl DualTransformerBlock {
             *av += bv;
         }
         let mut out = a.clone();
+        let mut y_t = vec![0.0f32; m];
         for t in 0..t_len {
-            let a_t = Tensor::from_vec(a.data()[t * m..(t + 1) * m].to_vec(), &[m]);
-            let y_t = self.ffn.forward_reference(&a_t);
-            for (ov, &yv) in out.data_mut()[t * m..(t + 1) * m]
-                .iter_mut()
-                .zip(y_t.data())
-            {
+            let rows = t * m..(t + 1) * m;
+            self.ffn
+                .forward_reference_into(&a.data()[rows.clone()], &mut y_t);
+            for (ov, &yv) in out.data_mut()[rows].iter_mut().zip(&y_t) {
                 *ov += yv;
             }
         }

@@ -178,29 +178,18 @@ impl DualConvLayer {
         // but only an IMap stops the PE from still issuing the MAC.
         let mut engine = SpeculationEngine::new();
         let cols = im2col(input, &self.geom);
-        let (mut output, map) =
+        let (mut output, mut omap) =
             self.proj
                 .forward_columns(&mut engine, policy, &cols, imap.is_none(), guard);
 
+        // The workloads count the speculated map, before the correction.
+        let channel_workloads = (0..k)
+            .map(|kk| omap.sensitive_count_in(kk * positions, (kk + 1) * positions))
+            .collect();
         // ReLU + §III-C correction step: predicted-effectual neurons that
         // die in ReLU flip to insensitive in the stored OMap, and every
-        // insensitive output is set to zero ("the ineffectual neurons are
-        // set to zero, making the OMap become the input sparsity maps for
-        // the next layer", §III-C).
-        let mut omap = map.clone();
-        for (i, v) in output.data_mut().iter_mut().enumerate() {
-            *v = v.max(0.0);
-            if *v == 0.0 && omap.is_sensitive(i) {
-                omap.correct_to_insensitive(i);
-            }
-            if !omap.is_sensitive(i) {
-                *v = 0.0;
-            }
-        }
-
-        let channel_workloads = (0..k)
-            .map(|kk| map.sensitive_count_in(kk * positions, (kk + 1) * positions))
-            .collect();
+        // insensitive output is set to zero.
+        omap.relu_correct(output.data_mut());
         let report = engine.finish(self.proj.costs().column_engine_costs(positions as u64));
         output.reshape_inplace(&[k, oh, ow]);
         DualConvOutput {

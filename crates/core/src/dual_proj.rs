@@ -270,12 +270,33 @@ impl DualProjection {
         x: &Tensor,
         guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, SwitchingMap) {
-        assert_eq!(x.len(), self.input_dim(), "input length mismatch");
-        let mut pre = self.speculate(x);
-        let map = engine.speculate_guarded(policy, &pre, guard);
-        let segments = [self.segment(x.data())];
-        engine.execute_rows_into(&map, pre.data_mut(), 0, self.bias.data(), &segments);
+        let mut pre = Tensor::zeros(&[self.output_dim()]);
+        let map = self.forward_into(engine, policy, x.data(), pre.data_mut(), guard);
         (pre, map)
+    }
+
+    /// [`DualProjection::forward`] into the caller's `out` (`[n]`): the
+    /// speculator runs in the engine's scratch, so once that scratch is
+    /// warm the only allocation is the returned map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension or
+    /// `out.len()` from the output dimension.
+    pub fn forward_into(
+        &self,
+        engine: &mut SpeculationEngine,
+        policy: &SwitchingPolicy,
+        x: &[f32],
+        out: &mut [f32],
+        guard: Option<&mut SpeculationGuard>,
+    ) -> SwitchingMap {
+        assert_eq!(x.len(), self.input_dim(), "input length mismatch");
+        engine.approximate(&self.approx, x, out);
+        let map = engine.speculate_guarded(policy, out, guard);
+        let segments = [self.segment(x)];
+        engine.execute_rows_into(&map, out, 0, self.bias.data(), &segments);
+        map
     }
 
     /// The same lifecycle batched over the `P` im2col columns of
@@ -300,7 +321,7 @@ impl DualProjection {
     ) -> (Tensor, SwitchingMap) {
         let (d, p) = (self.input_dim(), cols.shape().dim(1));
         let mut pre = self.approx.forward_columns(cols);
-        let map = engine.speculate_guarded(policy, &pre, guard);
+        let map = engine.speculate_guarded(policy, pre.data(), guard);
         let (cd, wd, bd) = (cols.data(), self.weight.data(), self.bias.data());
         let mode = MacMode::SkipZeroInputs { count_skipped };
         engine.execute_into(&map, pre.data_mut(), |i, kernel| {
@@ -320,30 +341,41 @@ impl DualProjection {
     /// [`RowKernel`] — so an all-sensitive [`DualProjection::forward`]
     /// is bitwise-equal to this, and dense fallback paths can share it.
     pub fn forward_reference(&self, x: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[self.output_dim()]);
+        self.forward_reference_into(x.data(), out.data_mut());
+        out
+    }
+
+    /// [`DualProjection::forward_reference`] into the caller's `out`
+    /// (`[n]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension or
+    /// `out.len()` from the output dimension.
+    pub fn forward_reference_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.input_dim(), "input length mismatch");
-        let (n, d) = (self.output_dim(), self.input_dim());
-        let xd = x.data();
-        let mut out = Tensor::zeros(&[n]);
-        for (row, o) in out.data_mut().iter_mut().enumerate() {
+        assert_eq!(out.len(), self.output_dim(), "output length mismatch");
+        let d = self.input_dim();
+        for (row, o) in out.iter_mut().enumerate() {
             let mut acc = self.bias.data()[row];
             let w = &self.weight.data()[row * d..(row + 1) * d];
             match self.mode {
                 MacMode::SkipZeroWeights => {
-                    for (&wv, &xv) in w.iter().zip(xd) {
+                    for (&wv, &xv) in w.iter().zip(x) {
                         if wv != 0.0 {
                             acc += wv * xv;
                         }
                     }
                 }
                 _ => {
-                    for (&wv, &xv) in w.iter().zip(xd) {
+                    for (&wv, &xv) in w.iter().zip(x) {
                         acc += wv * xv;
                     }
                 }
             }
             *o = acc;
         }
-        out
     }
 
     /// This projection's speculator-side cost constants.

@@ -213,8 +213,8 @@ impl DualLstmCell {
         let hd = state.h.data();
         let mut gate_maps = Vec::with_capacity(4);
         for (gi, policy) in policies.iter().enumerate() {
-            let slice = Tensor::from_vec(a.data()[gi * h..(gi + 1) * h].to_vec(), &[h]);
-            let map = engine.speculate_guarded(policy, &slice, guard.as_deref_mut());
+            let gate = &a.data()[gi * h..(gi + 1) * h];
+            let map = engine.speculate_guarded(policy, gate, guard.as_deref_mut());
             // A weight row is fetched only when its gate lane is
             // sensitive. Gate lane `r` maps to weight/bias row
             // `gi * h + r`; the two projections' segments chain
@@ -384,6 +384,8 @@ impl DualGruCell {
         let mut ah = self.proj_hh.speculate(h_prev);
 
         let mut gate_maps = Vec::with_capacity(3);
+        // One gate's approximate pre-activation at a time.
+        let mut pre = vec![0.0f32; h];
 
         // r and z gates: switch on the summed approximate pre-activation.
         // A sensitive lane recomputes *both* halves of the sum exactly
@@ -391,13 +393,10 @@ impl DualGruCell {
         // one exact output.
         for gi in 0..2 {
             let policy = SwitchingPolicy::sigmoid(thresholds.theta_sigmoid);
-            let slice = Tensor::from_vec(
-                (0..h)
-                    .map(|i| ax.data()[gi * h + i] + ah.data()[gi * h + i])
-                    .collect(),
-                &[h],
-            );
-            let map = engine.speculate_guarded(&policy, &slice, guard.as_deref_mut());
+            for (i, p) in pre.iter_mut().enumerate() {
+                *p = ax.data()[gi * h + i] + ah.data()[gi * h + i];
+            }
+            let map = engine.speculate_guarded(&policy, &pre, guard.as_deref_mut());
             let (axd, ahd) = (ax.data_mut(), ah.data_mut());
             engine.execute(&map, |rr, kernel| {
                 let row = gi * h + rr;
@@ -409,20 +408,12 @@ impl DualGruCell {
 
         // Candidate gate: approximate pre-activation includes the r-gating
         // on the hidden part (r is already mixed/accurate where needed).
-        let r_gate = Tensor::from_vec(
-            (0..h)
-                .map(|i| Activation::Sigmoid.apply_scalar(ax.data()[i] + ah.data()[i]))
-                .collect(),
-            &[h],
-        );
-        let n_pre_approx = Tensor::from_vec(
-            (0..h)
-                .map(|i| ax.data()[2 * h + i] + r_gate.data()[i] * ah.data()[2 * h + i])
-                .collect(),
-            &[h],
-        );
+        for (i, p) in pre.iter_mut().enumerate() {
+            let r_gate = Activation::Sigmoid.apply_scalar(ax.data()[i] + ah.data()[i]);
+            *p = ax.data()[2 * h + i] + r_gate * ah.data()[2 * h + i];
+        }
         let n_policy = SwitchingPolicy::tanh(thresholds.theta_tanh);
-        let n_map = engine.speculate_guarded(&n_policy, &n_pre_approx, guard);
+        let n_map = engine.speculate_guarded(&n_policy, &pre, guard);
         let (axd, ahd) = (ax.data_mut(), ah.data_mut());
         engine.execute(&n_map, |rr, kernel| {
             let row = 2 * h + rr;

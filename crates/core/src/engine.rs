@@ -17,6 +17,7 @@
 //! one per gate), and emits every metric exactly once in
 //! [`SpeculationEngine::finish`].
 
+use crate::approx::ApproxLinear;
 use crate::guard::{DegradationPolicy, SpeculationGuard};
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
@@ -258,6 +259,8 @@ pub struct SpeculationEngine {
     outputs_exact: u64,
     kernel: RowKernel,
     map_packed_bytes: u64,
+    /// Speculator scratch, reused by every projection of the invocation.
+    work: Vec<f32>,
     _span: duet_obs::Span,
 }
 
@@ -279,17 +282,27 @@ impl SpeculationEngine {
                 weight_words: 0,
             },
             map_packed_bytes: 0,
+            work: Vec::new(),
             _span: duet_obs::span("core.dual.forward"),
         }
+    }
+
+    /// Runs the approximate module on `x` into `out` with the engine's
+    /// scratch, so repeated speculation allocates nothing once the
+    /// scratch has grown to the largest projection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` does not match the module's dimensions.
+    pub fn approximate(&mut self, approx: &ApproxLinear, x: &[f32], out: &mut [f32]) {
+        approx.forward_into(x, out, &mut self.work);
     }
 
     /// Builds the switching map for a vector of approximate
     /// pre-activations (Eq. 3) and accounts for its outputs and packed
     /// GLB footprint.
     pub fn speculate(&mut self, policy: &SwitchingPolicy, y_approx: &Tensor) -> SwitchingMap {
-        let map = policy.map(y_approx);
-        self.account_map(&map);
-        map
+        self.speculate_guarded(policy, y_approx.data(), None)
     }
 
     /// [`SpeculationEngine::speculate`] watched by an optional
@@ -306,22 +319,22 @@ impl SpeculationEngine {
     pub fn speculate_guarded(
         &mut self,
         policy: &SwitchingPolicy,
-        y_approx: &Tensor,
+        y_approx: &[f32],
         guard: Option<&mut SpeculationGuard>,
     ) -> SwitchingMap {
-        let guard = match guard {
-            Some(g) if !matches!(g.config().policy, DegradationPolicy::Off) => g,
-            _ => return self.speculate(policy, y_approx),
-        };
+        let raw = policy.map_slice(y_approx);
         // A zero-length output says nothing about speculator health: an
         // empty map's insensitive fraction is a synthetic 0.0 that would
         // drag the EWMA out of band and trip the guard on degenerate
         // (e.g. empty-batch) inputs. Nothing to observe — skip the guard.
-        if y_approx.is_empty() {
-            return self.speculate(policy, y_approx);
-        }
-        let nonfinite = y_approx.data().iter().any(|v| !v.is_finite());
-        let raw = policy.map(y_approx);
+        let guard = match guard {
+            Some(g) if !matches!(g.config().policy, DegradationPolicy::Off) && !raw.is_empty() => g,
+            _ => {
+                self.account_map(&raw);
+                return raw;
+            }
+        };
+        let nonfinite = y_approx.iter().any(|v| !v.is_finite());
         let was_tripped = guard.is_tripped();
         let obs = guard.observe(nonfinite, raw.insensitive_fraction());
 
@@ -367,8 +380,11 @@ impl SpeculationEngine {
     pub fn account_map(&mut self, map: &SwitchingMap) {
         self.outputs_total += map.len() as u64;
         self.map_packed_bytes += map.len().div_ceil(8) as u64;
-        duet_obs::histogram!("core.dual.map.insensitive_bp")
-            .record((map.insensitive_fraction() * 10_000.0) as u64);
+        // Checked here too, so a run without metrics skips the division.
+        if duet_obs::metrics_enabled() {
+            duet_obs::histogram!("core.dual.map.insensitive_bp")
+                .record((map.insensitive_fraction() * 10_000.0) as u64);
+        }
     }
 
     /// The sparse-execute loop: runs `row` once per sensitive index, in
@@ -589,10 +605,9 @@ mod tests {
             ..GuardConfig::fallback_dense(SwitchRateBand { lo: 0.2, hi: 0.8 })
         };
         let mut guard = SpeculationGuard::new(cfg);
-        let empty = Tensor::zeros(&[0]);
         for _ in 0..10 {
             let mut e = SpeculationEngine::new();
-            let map = e.speculate_guarded(&SwitchingPolicy::relu(0.0), &empty, Some(&mut guard));
+            let map = e.speculate_guarded(&SwitchingPolicy::relu(0.0), &[], Some(&mut guard));
             assert!(map.is_empty());
         }
         assert!(!guard.is_tripped());
@@ -602,7 +617,7 @@ mod tests {
         // empty rounds never happened
         let mut e = SpeculationEngine::new();
         let y = Tensor::from_vec(vec![-1.0, -2.0, 3.0, 4.0], &[4]);
-        e.speculate_guarded(&SwitchingPolicy::relu(0.0), &y, Some(&mut guard));
+        e.speculate_guarded(&SwitchingPolicy::relu(0.0), y.data(), Some(&mut guard));
         assert!(!guard.is_tripped());
         assert_eq!(guard.stats().checks, 1);
     }

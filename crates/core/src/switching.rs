@@ -95,11 +95,25 @@ impl SwitchingPolicy {
     /// Generates the switching map for a vector of approximate
     /// pre-activations.
     pub fn map(&self, y_approx: &Tensor) -> SwitchingMap {
-        y_approx
-            .data()
-            .iter()
-            .map(|&y| self.is_sensitive(y))
-            .collect()
+        self.map_slice(y_approx.data())
+    }
+
+    /// [`SwitchingPolicy::map`] over a slice — the row of comparators:
+    /// each 64-output word is built in one branch-free pass, with the
+    /// activation's rule chosen once per call. Each rule is the exact
+    /// negation of [`Activation::is_insensitive`], so a NaN (in `y'` or
+    /// in θ) stays sensitive.
+    // `!(a < b)` is not `a >= b` for NaN, and the NaN case is the point.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn map_slice(&self, y_approx: &[f32]) -> SwitchingMap {
+        let theta = self.theta;
+        match self.activation {
+            Activation::Relu | Activation::Gelu => SwitchingMap::pack(y_approx, |y| !(y < theta)),
+            Activation::Sigmoid | Activation::Tanh => {
+                SwitchingMap::pack(y_approx, |y| !(y.abs() > theta))
+            }
+            Activation::Identity => SwitchingMap::pack(y_approx, |y| !(y.abs() < theta)),
+        }
     }
 }
 
@@ -115,6 +129,24 @@ pub struct SwitchingMap {
     len: usize,
 }
 
+/// Packs 64 flags of 0 or 1 into a word, flag `b` to bit `b`. Eight
+/// flag bytes at a time are gathered into one byte by a multiply: flag
+/// `i` of the group sits at bit `8i`, and the constant's bit `56 − 7i`
+/// moves it to bit `56 + i`; no two partial products share a bit, so
+/// nothing carries. This keeps the flag loops free of variable shifts,
+/// so they vectorize.
+#[inline]
+fn word_of(flags: &[u8; 64]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |word, (g, group)| {
+            let group = u64::from_le_bytes(group.try_into().expect("chunks of eight"));
+            word | (group.wrapping_mul(GATHER) >> 56) << (8 * g)
+        })
+}
+
 /// Mask selecting the live bits of the last word of an `n`-bit map.
 #[inline]
 fn tail_mask(n: usize) -> u64 {
@@ -128,6 +160,25 @@ impl SwitchingMap {
     /// An empty map (zero neurons) — the seed for bit-wise builders.
     pub fn empty() -> Self {
         Self::default()
+    }
+
+    /// Packs `sensitive(v)` over `values`, one 64-value word per pass;
+    /// a short last chunk leaves the tail bits zero.
+    fn pack(values: &[f32], sensitive: impl Fn(f32) -> bool) -> Self {
+        let words = values
+            .chunks(64)
+            .map(|chunk| {
+                let mut flags = [0u8; 64];
+                for (f, &v) in flags.iter_mut().zip(chunk) {
+                    *f = u8::from(sensitive(v));
+                }
+                word_of(&flags)
+            })
+            .collect();
+        Self {
+            words,
+            len: values.len(),
+        }
     }
 
     /// Builds a map from explicit flags.
@@ -314,9 +365,11 @@ impl SwitchingMap {
         })
     }
 
-    /// Marks a neuron insensitive — the §III-C correction step: "if a
-    /// predicted effectual neuron turns out to be ineffectual after ReLU,
-    /// we will update the switching index of that neuron from 1 to 0".
+    /// Marks a neuron insensitive — the §III-C correction step for one
+    /// neuron: "if a predicted effectual neuron turns out to be
+    /// ineffectual after ReLU, we will update the switching index of that
+    /// neuron from 1 to 0". [`SwitchingMap::relu_correct`] applies it to
+    /// a whole layer a word at a time.
     ///
     /// # Panics
     ///
@@ -328,6 +381,34 @@ impl SwitchingMap {
             self.len
         );
         self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// ReLU over the outputs `pre` this map covers, fused with the
+    /// §III-C correction step a word at a time: each map word is ANDed
+    /// with the word of `v.max(0.0) != 0.0` bits (a predicted-effectual
+    /// neuron that dies in ReLU flips from 1 to 0), and every output left
+    /// insensitive is set to zero — "the ineffectual neurons are set to
+    /// zero, making the OMap become the input sparsity maps for the next
+    /// layer". Sensitive outputs keep `v.max(0.0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre.len()` differs from the map length.
+    pub fn relu_correct(&mut self, pre: &mut [f32]) {
+        assert_eq!(pre.len(), self.len, "output length mismatch");
+        for (word, chunk) in self.words.iter_mut().zip(pre.chunks_mut(64)) {
+            let mut alive = [0u8; 64];
+            for (a, v) in alive.iter_mut().zip(chunk.iter_mut()) {
+                *v = v.max(0.0);
+                *a = u8::from(*v != 0.0);
+            }
+            *word &= word_of(&alive);
+            for (b, v) in chunk.iter_mut().enumerate() {
+                if *word >> b & 1 == 0 {
+                    *v = 0.0;
+                }
+            }
+        }
     }
 
     /// ORs another map into this one — the touched-row union of a

@@ -1,0 +1,105 @@
+//! Allocation pin for the slice forwards: once warm, the speculator runs
+//! in caller-owned buffers, and a speculated projection allocates only
+//! the switching map it returns.
+//!
+//! The counting allocator counts per thread, so tests running in
+//! parallel do not see each other's allocations.
+
+use duet_core::engine::MacMode;
+use duet_core::{ApproxConfig, ApproxLinear, DualProjection, SpeculationEngine, SwitchingPolicy};
+use duet_tensor::rng::{self, seeded};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// (allocations, bytes requested) on this thread.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATED.try_with(|c| {
+        let (n, total) = c.get();
+        c.set((n + 1, total + bytes as u64));
+    });
+}
+
+// SAFETY: every call forwards its arguments unchanged to `System`, so the
+// caller's guarantees for `GlobalAlloc` carry over; the bookkeeping in
+// `note` never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` guarantees are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`; the caller
+        // guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the (allocations, bytes) it made
+/// on this thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    let after = ALLOCATED.with(Cell::get);
+    (out, (after.0 - before.0, after.1 - before.1))
+}
+
+#[test]
+fn warm_approx_forward_into_allocates_nothing() {
+    let mut r = seeded(31);
+    for activation_bits in [4, 16] {
+        let config = ApproxConfig {
+            activation_bits,
+            ..ApproxConfig::paper_default(12)
+        };
+        let approx = ApproxLinear::random(40, 24, config, &mut r);
+        let x = rng::normal(&mut r, &[40], 0.0, 1.0);
+        let (mut out, mut work) = (vec![0.0f32; 24], Vec::new());
+        approx.forward_into(x.data(), &mut out, &mut work);
+        let ((), allocated) = counted(|| approx.forward_into(x.data(), &mut out, &mut work));
+        assert_eq!(allocated, (0, 0), "activation bits {activation_bits}");
+        assert_eq!(
+            out,
+            approx.forward(&x).data(),
+            "activation bits {activation_bits}"
+        );
+    }
+}
+
+#[test]
+fn warm_projection_forward_into_allocates_only_its_map() {
+    let mut r = seeded(32);
+    let (n, d) = (100, 48);
+    let w = rng::normal(&mut r, &[n, d], 0.0, 0.3);
+    let b = rng::normal(&mut r, &[n], 0.0, 0.1);
+    let proj = DualProjection::learn(&w, &b, MacMode::SkipZeroWeights, 16, 200, &mut r);
+    let x = rng::normal(&mut r, &[d], 0.0, 1.0);
+    let policy = SwitchingPolicy::relu(0.0);
+    let mut out = vec![0.0f32; n];
+    let mut engine = SpeculationEngine::new();
+    proj.forward_into(&mut engine, &policy, x.data(), &mut out, None);
+    let (map, allocated) =
+        counted(|| proj.forward_into(&mut engine, &policy, x.data(), &mut out, None));
+    assert_eq!(map.words().len(), 2);
+    assert_eq!(allocated, (1, 16), "one allocation: the map's two words");
+    let mut fresh = SpeculationEngine::new();
+    let (pre, fresh_map) = proj.forward(&mut fresh, &policy, &x, None);
+    assert_eq!((out.as_slice(), &map), (pre.data(), &fresh_map));
+}

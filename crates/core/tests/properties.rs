@@ -127,3 +127,51 @@ fn saturation_rules_agree() {
         assert_eq!(sig, tan, "seed {seed}");
     }
 }
+
+/// Eq. 2–3 on a ReLU layer, across θ and speculator weight widths
+/// INT2–INT4: every sensitive pre-activation is the exact one and every
+/// insensitive one the speculator's, bit for bit; ReLU never amplifies
+/// the speculator's error on an insensitive output; and at θ ≤ 0 an
+/// insensitive output is exactly zero after ReLU.
+#[test]
+fn relu_switching_bounds_insensitive_error() {
+    let (n, d) = (24, 32);
+    let (mut sensitive, mut insensitive) = (0usize, 0usize);
+    for seed in 0..CASES {
+        let mut r = rng::seeded(seed);
+        let w = rng::normal(&mut r, &[n, d], 0.0, 0.3);
+        let b = rng::normal(&mut r, &[n], 0.0, 0.1);
+        let learned = DualModuleLayer::learn(&w, &b, Activation::Relu, 12, 120, &mut r);
+        let x = rng::normal(&mut r, &[d], 0.0, 1.0);
+        for bits in [2, 3, 4] {
+            let mut layer = learned.clone();
+            layer.set_approx(learned.approx().requantized(bits));
+            let exact = layer.projection().forward_reference(&x);
+            let approx = layer.projection().speculate(&x);
+            for theta in [-0.5f32, 0.0, 0.25, 1.0] {
+                let out = layer.forward(&x, &SwitchingPolicy::relu(theta));
+                for i in 0..n {
+                    let what = format!("seed {seed} INT{bits} θ {theta} output {i}");
+                    let pre = out.pre_activation.data()[i];
+                    if out.map.is_sensitive(i) {
+                        sensitive += 1;
+                        assert_eq!(pre.to_bits(), exact.data()[i].to_bits(), "{what}");
+                        continue;
+                    }
+                    insensitive += 1;
+                    let (y_approx, y) = (approx.data()[i], exact.data()[i]);
+                    assert_eq!(pre.to_bits(), y_approx.to_bits(), "{what}");
+                    let relu_err = (y_approx.max(0.0) - y.max(0.0)).abs();
+                    assert!(relu_err <= (y_approx - y).abs(), "{what}");
+                    if theta <= 0.0 {
+                        assert_eq!(out.output.data()[i].to_bits(), 0.0f32.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        sensitive > 0 && insensitive > 0,
+        "{sensitive} / {insensitive}"
+    );
+}

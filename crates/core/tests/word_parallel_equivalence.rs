@@ -1,5 +1,6 @@
-//! Property sweep pinning the word-parallel sparse-execute loop to the
-//! historical index-by-index loop it replaced.
+//! Property sweeps pinning the word-parallel map builder, §III-C
+//! correction and sparse-execute loop to the per-element loops they
+//! replaced.
 //!
 //! The reference here is the *literal definition* of sparse execution —
 //! visit `(0..len).filter(|i| map.is_sensitive(i))` in ascending order,
@@ -10,9 +11,14 @@
 //! visit order, same exact-output counts, same `SavingsReport` — over
 //! random maps at densities 0, ~0.5, 1, single-straggler-bit patterns,
 //! tail lengths `len % 64 ∈ {0, 1, 63}`, and 1/4/7 worker threads.
+//!
+//! The map builder and the correction are pinned the same way: against
+//! the literal per-output rule and the per-element correction loop, on
+//! the values where a rule can tip (±0, ±∞, NaN, subnormals, ±θ).
 
 use duet_core::engine::{EngineCosts, ExecutorWeightBytes, Gather, MacMode, RowSegment};
-use duet_core::{SavingsReport, SpeculationEngine, SwitchingMap};
+use duet_core::{SavingsReport, SpeculationEngine, SwitchingMap, SwitchingPolicy};
+use duet_nn::Activation;
 use duet_tensor::rng::{self, seeded, Rng};
 use duet_tensor::{parallel, Tensor};
 
@@ -211,5 +217,97 @@ fn word_parallel_execute_thread_invariant_at_1_4_7() {
     let serial = run(1);
     for threads in [4, 7] {
         assert_eq!(serial, run(threads), "threads={threads} diverged");
+    }
+}
+
+/// A value where a switching rule can tip, or an ordinary one.
+fn edge_value(theta: f32, r: &mut Rng) -> f32 {
+    match r.random_range(0..12u32) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::NAN,
+        5 => f32::from_bits(r.random_range(1..0x0080_0000u32)), // subnormal
+        6 => -f32::from_bits(r.random_range(1..0x0080_0000u32)),
+        7 => theta,
+        8 => -theta,
+        _ => rng::normal_sample(r) * 2.0,
+    }
+}
+
+#[test]
+fn word_map_builder_matches_per_output_rule() {
+    let activations = [
+        Activation::Relu,
+        Activation::Gelu,
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Identity,
+    ];
+    let thetas = [f32::NEG_INFINITY, -1.5, 0.0, 0.4, f32::INFINITY, f32::NAN];
+    let mut r = seeded(2024);
+    for len in (0..=130).chain(191..=193) {
+        for &theta in &thetas {
+            let y: Vec<f32> = (0..len).map(|_| edge_value(theta, &mut r)).collect();
+            let y = Tensor::from_vec(y, &[len]);
+            for activation in activations {
+                let policy = SwitchingPolicy { activation, theta };
+                let literal: Vec<bool> =
+                    (0..len).map(|i| policy.is_sensitive(y.data()[i])).collect();
+                let map = policy.map(&y);
+                let what = format!("{activation} θ {theta} len {len}");
+                assert_eq!(map.iter().collect::<Vec<_>>(), literal, "{what}");
+                // word equality also pins the zero tail bits
+                assert_eq!(map, SwitchingMap::from_flags(literal), "{what}");
+            }
+        }
+    }
+}
+
+/// The per-element ReLU + §III-C correction loop the conv layer ran
+/// before the word form.
+fn reference_relu_correct(map: &SwitchingMap, output: &mut [f32]) -> SwitchingMap {
+    let mut omap = map.clone();
+    for (i, v) in output.iter_mut().enumerate() {
+        *v = v.max(0.0);
+        if *v == 0.0 && omap.is_sensitive(i) {
+            omap.correct_to_insensitive(i);
+        }
+        if !omap.is_sensitive(i) {
+            *v = 0.0;
+        }
+    }
+    omap
+}
+
+#[test]
+fn word_relu_correction_matches_per_element_loop() {
+    for (seed, len) in [
+        (51u64, 64usize),
+        (52, 128),
+        (53, 192),
+        (54, 1),
+        (55, 65),
+        (56, 129),
+        (57, 63),
+        (58, 127),
+        (59, 191),
+        (60, 648),
+    ] {
+        let mut r = seeded(seed);
+        for (mi, map) in sweep_maps(len, &mut r).into_iter().enumerate() {
+            // negatives, NaN, ±0 and ordinary positives
+            let output: Vec<f32> = (0..len).map(|_| edge_value(0.5, &mut r)).collect();
+            let mut want = output.clone();
+            let want_map = reference_relu_correct(&map, &mut want);
+            let mut got = output;
+            let mut got_map = map.clone();
+            got_map.relu_correct(&mut got);
+            let what = format!("len {len} map {mi}");
+            assert_eq!(got_map, want_map, "{what}: corrected map");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{what}: outputs not bitwise");
+        }
     }
 }

@@ -155,11 +155,13 @@ where
     if rows == 0 {
         return;
     }
-    let ranges = split_ranges(rows, threads);
-    if ranges.len() == 1 {
+    // The one-range case runs before `split_ranges`, whose `Vec` would
+    // otherwise cost every serial GEMV and affine a heap allocation.
+    if threads <= 1 || rows == 1 {
         f(0..rows, data);
         return;
     }
+    let ranges = split_ranges(rows, threads);
     note_fan_out(ranges.len());
     thread::scope(|scope| {
         let mut rest = data;

@@ -197,20 +197,19 @@ impl DualCnn {
         );
         let (ph, pw) = (oh / self.pool, ow / self.pool);
         let mut pooled = Tensor::zeros(&[kk * ph * pw]);
+        let (od, pd) = (out.output.data(), pooled.data_mut());
         for ch in 0..kk {
+            let plane = &od[ch * oh * ow..(ch + 1) * oh * ow];
             for y in 0..ph {
                 for x in 0..pw {
                     let mut best = f32::NEG_INFINITY;
                     for dy in 0..self.pool {
-                        for dx in 0..self.pool {
-                            best = best.max(out.output.at(&[
-                                ch,
-                                y * self.pool + dy,
-                                x * self.pool + dx,
-                            ]));
+                        let row = (y * self.pool + dy) * ow + x * self.pool;
+                        for &v in &plane[row..row + self.pool] {
+                            best = best.max(v);
                         }
                     }
-                    pooled.data_mut()[(ch * ph + y) * pw + x] = best;
+                    pd[(ch * ph + y) * pw + x] = best;
                 }
             }
         }

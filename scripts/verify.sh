@@ -178,9 +178,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --workspace --all-targets --offline --features duet-tensor/simd -- -D warnings
 
 echo "== cargo clippy (unwrap_used in library code) =="
-# Library code in the core pipeline crates must not use .unwrap() —
+# Library code in every workspace crate must not use .unwrap() —
 # caller-facing failure paths are typed errors or documented panics.
 # Tests and bins are exempt (--lib only).
-cargo clippy --offline -p duet-core -p duet-sim -p duet-workloads --lib -- -D clippy::unwrap_used
+cargo clippy --workspace --lib --offline -- -D clippy::unwrap_used
 
 echo "verify: OK"
