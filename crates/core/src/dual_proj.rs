@@ -20,8 +20,11 @@
 //! * [`crate::DualFfn`] is an expand projection with a GELU band and a
 //!   contract projection with a magnitude band.
 //!
-//! The per-row arithmetic runs through the engine's [`RowKernel`] in
-//! element order, so every layer's outputs are bitwise stable.
+//! The per-row arithmetic runs in element order — through the engine's
+//! [`RowKernel`] for FF and RNN rows, and through its column executor
+//! ([`SpeculationEngine::execute_columns_into`]) for im2col columns,
+//! which reproduces the kernel's `Gather::Column` dot bit for bit — so
+//! every layer's outputs are bitwise stable.
 
 use crate::approx::{ApproxConfig, ApproxLinear};
 use crate::distill;
@@ -302,11 +305,12 @@ impl DualProjection {
     /// The same lifecycle batched over the `P` im2col columns of
     /// `cols` `[d, P]` (a CONV layer, §III-C): one speculator GEMM, one
     /// map over all `n · P` outputs (row-major `[n, P]`), and each
-    /// sensitive element recomputed as its row dotted with its gathered
-    /// column. Zero inputs are skipped (exact: their products are zero);
-    /// `count_skipped` says whether they still occupy issue slots, as
-    /// they do unless an IMap configures the PE tag bits (Fig. 6).
-    /// Returns the mixed `[n, P]` pre-activations and the map.
+    /// sensitive element recomputed as its row dotted with its column by
+    /// [`SpeculationEngine::execute_columns_into`]. Zero inputs are
+    /// skipped (exact: their products are zero); `count_skipped` says
+    /// whether they still occupy issue slots, as they do unless an IMap
+    /// configures the PE tag bits (Fig. 6). Returns the mixed `[n, P]`
+    /// pre-activations and the map.
     ///
     /// # Panics
     ///
@@ -319,20 +323,16 @@ impl DualProjection {
         count_skipped: bool,
         guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, SwitchingMap) {
-        let (d, p) = (self.input_dim(), cols.shape().dim(1));
         let mut pre = self.approx.forward_columns(cols);
         let map = engine.speculate_guarded(policy, pre.data(), guard);
-        let (cd, wd, bd) = (cols.data(), self.weight.data(), self.bias.data());
-        let mode = MacMode::SkipZeroInputs { count_skipped };
-        engine.execute_into(&map, pre.data_mut(), |i, kernel| {
-            let (row, col) = (i / p, i % p);
-            let x = Gather::Column {
-                data: cd,
-                stride: p,
-                col,
-            };
-            kernel.dot(bd[row], &wd[row * d..(row + 1) * d], x, mode)
-        });
+        engine.execute_columns_into(
+            &map,
+            pre.data_mut(),
+            self.weight.data(),
+            self.bias.data(),
+            cols.data(),
+            count_skipped,
+        );
         (pre, map)
     }
 

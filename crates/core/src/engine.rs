@@ -6,10 +6,19 @@
 //! recompute the sensitive outputs exactly with a row-sparse kernel, and
 //! keep the approximate value everywhere else (Eq. 2).
 //! [`SpeculationEngine`] owns that pattern once: the map construction,
-//! the single sparse-execute loop, the in-place mix into the approximate
+//! the sparse-execute loops, the in-place mix into the approximate
 //! buffer, the op/byte accounting behind [`SavingsReport`], and the
 //! duet-obs counters — so a layer only supplies the row arithmetic it
 //! hands to the engine's execute loops.
+//!
+//! There are three loops over the same map walk. `execute` /
+//! `execute_into` hand each sensitive output to a closure with the
+//! shared [`RowKernel`]; `execute_rows_into` runs FF and RNN rows in
+//! word-sized lane batches; `execute_columns_into` runs a CONV layer's
+//! sensitive im2col columns eight at a time per filter row. The batched
+//! loops reproduce [`RowKernel::dot`] bit for bit. The column loop
+//! derives its counts from the map (popcounts, and non-zero inputs under
+//! an IMap) instead of counting inside the arithmetic.
 //!
 //! An engine lives for one layer invocation (one `forward` / `step`): it
 //! opens the `core.dual.forward` span on creation, accumulates counts
@@ -30,7 +39,10 @@ pub enum Gather<'a> {
     /// rows).
     Dense(&'a [f32]),
     /// One column of a row-major `[d, stride]` patch matrix: element `j`
-    /// is `data[j * stride + col]` (im2col CONV).
+    /// is `data[j * stride + col]` (im2col CONV). The conv layer itself
+    /// runs [`SpeculationEngine::execute_columns_into`]; this per-output
+    /// form is what a replay from public pieces, and the pins on that
+    /// executor, compare it against.
     Column {
         /// The patch matrix data.
         data: &'a [f32],
@@ -218,6 +230,34 @@ impl RowKernel {
             out[local] = acc;
         }
         n as u32
+    }
+}
+
+/// Columns one [`SpeculationEngine::execute_columns_into`] batch runs
+/// side by side, one accumulator each.
+const COLUMN_LANES: usize = 8;
+
+/// `bias + Σ_j w[j] · cols[j·P + c]` for the [`COLUMN_LANES`] columns `c`
+/// in `lanes` (`P = out.len()`), accumulated in ascending `j`, written to
+/// `out[c]`. A lane that repeats a column rewrites the same value.
+///
+/// A zero input adds −0.0 where [`RowKernel::dot`] skips it. Adding −0.0
+/// leaves every sum as it was, ±0 included, so each result is bitwise the
+/// skip's, and the loop needs no branch.
+#[inline]
+fn column_dots(bias: f32, w: &[f32], cols: &[f32], lanes: &[usize; COLUMN_LANES], out: &mut [f32]) {
+    let p = out.len();
+    // checked once per batch, so the loads below need no bounds checks
+    assert!(lanes.iter().all(|&c| c < p), "column out of range");
+    let mut acc = [bias; COLUMN_LANES];
+    for (&wj, x) in w.iter().zip(cols.chunks_exact(p)) {
+        for (a, &c) in acc.iter_mut().zip(lanes) {
+            let v = x[c];
+            *a += if v != 0.0 { wj * v } else { -0.0 };
+        }
+    }
+    for (&c, &a) in lanes.iter().zip(&acc) {
+        out[c] = a;
     }
 }
 
@@ -472,6 +512,79 @@ impl SpeculationEngine {
                 .kernel
                 .dot_rows(w, base, row_offset, bias, segments, out);
             self.outputs_exact += n as u64;
+        }
+    }
+
+    /// The CONV executor: the map covers a row-major `[n, P]` output
+    /// (`n = bias.len()` filter rows by `P` positions), and each
+    /// sensitive output `(row, col)` becomes
+    /// `bias[row] + Σ_j weights[row·d + j] · cols[j·P + col]` over the
+    /// `[d, P]` patch matrix `cols`, with zero inputs skipped — the value
+    /// [`RowKernel::dot`] gives under `Gather::Column` and
+    /// [`MacMode::SkipZeroInputs`], bit for bit.
+    ///
+    /// Each filter row walks its sensitive columns from the map words and
+    /// runs them eight at a time, one accumulator per column, so no output
+    /// pays an `i / P`, a row closure or the kernel's mode match. The
+    /// counts are closed forms of the map: the row's exact outputs are
+    /// the popcount of its range, and its MACs are popcount × d when
+    /// skipped MACs still issue (`count_skipped`, no IMap), or else the
+    /// sum of the sensitive columns' non-zero input counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != map.len()`, or if `weights`, `out` and
+    /// `cols` are not `[n, d]`, `[n, P]` and `[d, P]` for `n =
+    /// bias.len()`.
+    pub fn execute_columns_into(
+        &mut self,
+        map: &SwitchingMap,
+        out: &mut [f32],
+        weights: &[f32],
+        bias: &[f32],
+        cols: &[f32],
+        count_skipped: bool,
+    ) {
+        assert_eq!(out.len(), map.len(), "mix buffer length mismatch");
+        let n = bias.len();
+        let (d, p) = (
+            weights.len().checked_div(n).unwrap_or(0),
+            out.len().checked_div(n).unwrap_or(0),
+        );
+        assert_eq!(weights.len(), n * d, "weights must be [n, d]");
+        assert_eq!(out.len(), n * p, "output must be [n, P]");
+        assert_eq!(cols.len(), d * p, "patch matrix must be [d, P]");
+        for (row, &b) in bias.iter().enumerate() {
+            let (lo, hi) = (row * p, (row + 1) * p);
+            let (w, o) = (&weights[row * d..(row + 1) * d], &mut out[lo..hi]);
+            let mut lanes = [0usize; COLUMN_LANES];
+            let mut filled = 0;
+            map.for_each_sensitive_in(lo, hi, |i| {
+                lanes[filled] = i - lo;
+                filled += 1;
+                if filled == COLUMN_LANES {
+                    column_dots(b, w, cols, &lanes, o);
+                    filled = 0;
+                }
+            });
+            if filled > 0 {
+                // a short batch repeats its last column in the spare lanes
+                let last = lanes[filled - 1];
+                lanes[filled..].fill(last);
+                column_dots(b, w, cols, &lanes, o);
+            }
+            let exact = map.sensitive_count_in(lo, hi) as u64;
+            self.outputs_exact += exact;
+            self.kernel.macs += if count_skipped {
+                exact * d as u64
+            } else {
+                let mut macs = 0u64;
+                map.for_each_sensitive_in(lo, hi, |i| {
+                    let col = cols.iter().skip(i - lo).step_by(p);
+                    macs += col.filter(|&&v| v != 0.0).count() as u64;
+                });
+                macs
+            };
         }
     }
 

@@ -147,6 +147,24 @@ fn word_of(flags: &[u8; 64]) -> u64 {
         })
 }
 
+/// The inverse of [`word_of`]: one 0/1 flag per bit of `word`. Each byte
+/// of the word is copied into all eight bytes of a `u64`, byte `i` keeps
+/// only bit `i`, and adding `0x7f` carries any kept bit into the byte's
+/// top bit, which is shifted down to bit 0. No byte overflows into the
+/// next, and there is no branch or variable shift.
+#[inline]
+fn flags_of(word: u64) -> [u8; 64] {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut flags = [0u8; 64];
+    for (g, group) in flags.chunks_exact_mut(8).enumerate() {
+        let byte = word >> (8 * g) & 0xff;
+        let bit_i_of_byte_i = byte.wrapping_mul(ONES) & 0x8040_2010_0804_0201;
+        let spread = (bit_i_of_byte_i + 0x7f7f_7f7f_7f7f_7f7f) >> 7 & ONES;
+        group.copy_from_slice(&spread.to_le_bytes());
+    }
+    flags
+}
+
 /// Mask selecting the live bits of the last word of an `n`-bit map.
 #[inline]
 fn tail_mask(n: usize) -> u64 {
@@ -391,23 +409,24 @@ impl SwitchingMap {
     /// zero, making the OMap become the input sparsity maps for the next
     /// layer". Sensitive outputs keep `v.max(0.0)`.
     ///
+    /// The word is spread into one flag per output (`flags_of`), and
+    /// each value's bits are ANDed with a mask built from its corrected
+    /// flag, so the loop has no branch on the data and vectorizes.
+    ///
     /// # Panics
     ///
     /// Panics if `pre.len()` differs from the map length.
     pub fn relu_correct(&mut self, pre: &mut [f32]) {
         assert_eq!(pre.len(), self.len, "output length mismatch");
         for (word, chunk) in self.words.iter_mut().zip(pre.chunks_mut(64)) {
-            let mut alive = [0u8; 64];
-            for (a, v) in alive.iter_mut().zip(chunk.iter_mut()) {
+            let mut keep = flags_of(*word);
+            for (k, v) in keep.iter_mut().zip(chunk.iter_mut()) {
                 *v = v.max(0.0);
-                *a = u8::from(*v != 0.0);
+                *k &= u8::from(*v != 0.0);
+                // all ones while the output stays sensitive, else +0.0
+                *v = f32::from_bits(v.to_bits() & 0u32.wrapping_sub(u32::from(*k)));
             }
-            *word &= word_of(&alive);
-            for (b, v) in chunk.iter_mut().enumerate() {
-                if *word >> b & 1 == 0 {
-                    *v = 0.0;
-                }
-            }
+            *word = word_of(&keep);
         }
     }
 

@@ -1,12 +1,15 @@
 //! Allocation pin for the slice forwards: once warm, the speculator runs
-//! in caller-owned buffers, and a speculated projection allocates only
-//! the switching map it returns.
+//! in caller-owned buffers, a speculated projection allocates only the
+//! switching map it returns, and the CONV column executor allocates
+//! nothing.
 //!
 //! The counting allocator counts per thread, so tests running in
 //! parallel do not see each other's allocations.
 
 use duet_core::engine::MacMode;
-use duet_core::{ApproxConfig, ApproxLinear, DualProjection, SpeculationEngine, SwitchingPolicy};
+use duet_core::{
+    ApproxConfig, ApproxLinear, DualProjection, SpeculationEngine, SwitchingMap, SwitchingPolicy,
+};
 use duet_tensor::rng::{self, seeded};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -102,4 +105,35 @@ fn warm_projection_forward_into_allocates_only_its_map() {
     let mut fresh = SpeculationEngine::new();
     let (pre, fresh_map) = proj.forward(&mut fresh, &policy, &x, None);
     assert_eq!((out.as_slice(), &map), (pre.data(), &fresh_map));
+}
+
+#[test]
+fn warm_column_executor_allocates_nothing() {
+    let mut r = seeded(33);
+    let (n, d, p) = (8, 9, 121);
+    let w = rng::normal(&mut r, &[n, d], 0.0, 0.3);
+    let b = rng::normal(&mut r, &[n], 0.0, 0.1);
+    let mut cols = rng::normal(&mut r, &[d, p], 0.0, 1.0);
+    for v in cols.data_mut().iter_mut().step_by(2) {
+        *v = 0.0;
+    }
+    let map = SwitchingMap::from_flags((0..n * p).map(|_| r.random::<f64>() < 0.3).collect());
+    let mut out = vec![0.0f32; n * p];
+    let mut engine = SpeculationEngine::new();
+    // without an IMap skipped MACs are counted; with one, non-zero inputs
+    for count_skipped in [true, false] {
+        let mut run = || {
+            engine.execute_columns_into(
+                &map,
+                &mut out,
+                w.data(),
+                b.data(),
+                cols.data(),
+                count_skipped,
+            )
+        };
+        run();
+        let ((), allocated) = counted(run);
+        assert_eq!(allocated, (0, 0), "count_skipped {count_skipped}");
+    }
 }

@@ -12,6 +12,11 @@
 //! random maps at densities 0, ~0.5, 1, single-straggler-bit patterns,
 //! tail lengths `len % 64 ∈ {0, 1, 63}`, and 1/4/7 worker threads.
 //!
+//! The CONV column executor (`execute_columns_into`) is pinned the same
+//! way against the per-output `execute_into` + `RowKernel::dot` under
+//! `Gather::Column`: bitwise outputs and equal reports, with and without
+//! counting skipped MACs, over patch matrices full of ±0.
+//!
 //! The map builder and the correction are pinned the same way: against
 //! the literal per-output rule and the per-element correction loop, on
 //! the values where a rule can tip (±0, ±∞, NaN, subnormals, ±θ).
@@ -220,6 +225,81 @@ fn word_parallel_execute_thread_invariant_at_1_4_7() {
     }
 }
 
+/// A `[d, p]` patch matrix with about half its entries exact zeros, a
+/// third of those −0.0, and column 0 all zero.
+fn patch_matrix(d: usize, p: usize, r: &mut Rng) -> Vec<f32> {
+    (0..d * p)
+        .map(|i| {
+            let k = r.random_range(0..6u32);
+            match (i % p == 0 || k < 3, k) {
+                (true, 0) => -0.0,
+                (true, _) => 0.0,
+                (false, _) => rng::normal_sample(r),
+            }
+        })
+        .collect()
+}
+
+/// Runs one CONV map through the per-output closure path or the column
+/// executor; returns the output bits and the report.
+fn run_columns(
+    map: &SwitchingMap,
+    (approx, w, bias, cols): (&[f32], &[f32], &[f32], &[f32]),
+    count_skipped: bool,
+    per_output: bool,
+) -> (Vec<u32>, SavingsReport) {
+    let (n, d) = (bias.len(), w.len() / bias.len());
+    let p = map.len() / n;
+    let mut engine = SpeculationEngine::new();
+    engine.account_map(map);
+    let mut mixed = approx.to_vec();
+    if per_output {
+        let mode = MacMode::SkipZeroInputs { count_skipped };
+        engine.execute_into(map, &mut mixed, |i, kernel| {
+            let (row, col) = (i / p, i % p);
+            let x = Gather::Column {
+                data: cols,
+                stride: p,
+                col,
+            };
+            kernel.dot(bias[row], &w[row * d..(row + 1) * d], x, mode)
+        });
+    } else {
+        engine.execute_columns_into(map, &mut mixed, w, bias, cols, count_skipped);
+    }
+    let report = engine.finish(costs(n * p, d));
+    (mixed.iter().map(|v| v.to_bits()).collect(), report)
+}
+
+#[test]
+fn column_executor_matches_per_output_kernel_bitwise() {
+    let mut r = seeded(61);
+    for p in [1usize, 63, 64, 65, 121] {
+        for n in [1usize, 3, 8] {
+            for d in [1usize, 9, 20] {
+                let w = rng::normal(&mut r, &[n, d], 0.0, 0.5);
+                let mut bias = rng::normal(&mut r, &[n], 0.0, 0.1);
+                // −0.0 over the all-zero column 0 stays −0.0 only if a
+                // skipped zero adds nothing that flips its sign
+                bias.data_mut()[0] = -0.0;
+                let cols = patch_matrix(d, p, &mut r);
+                let approx = rng::normal(&mut r, &[n * p], 0.0, 1.0);
+                let data = (approx.data(), w.data(), bias.data(), cols.as_slice());
+                for (mi, map) in sweep_maps(n * p, &mut r).into_iter().enumerate() {
+                    for count_skipped in [true, false] {
+                        let what = format!("P {p} n {n} d {d} map {mi} count {count_skipped}");
+                        let want = run_columns(&map, data, count_skipped, true);
+                        let got = run_columns(&map, data, count_skipped, false);
+                        assert_eq!(got.0, want.0, "{what}: outputs not bitwise");
+                        assert_eq!(got.1, want.1, "{what}: report");
+                        assert_eq!(got.1.outputs_exact, map.sensitive_count() as u64, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A value where a switching rule can tip, or an ordinary one.
 fn edge_value(theta: f32, r: &mut Rng) -> f32 {
     match r.random_range(0..12u32) {
@@ -294,6 +374,7 @@ fn word_relu_correction_matches_per_element_loop() {
         (58, 127),
         (59, 191),
         (60, 648),
+        (61, 968), // the `cnn` conv: 8 channels × 11 × 11
     ] {
         let mut r = seeded(seed);
         for (mi, map) in sweep_maps(len, &mut r).into_iter().enumerate() {

@@ -49,7 +49,11 @@ impl Fixed16Tensor {
     /// An all-zero tensor gets scale 1.0.
     pub fn quantize(t: &Tensor) -> Self {
         let scale = int16_scale(t.max_abs());
-        let data = t.data().iter().map(|&x| int16_code(x, scale)).collect();
+        let data = t
+            .data()
+            .iter()
+            .map(|&x| int16_code(x, scale) as i16) // within INT16 by construction
+            .collect();
         Self {
             data,
             scale,

@@ -239,7 +239,7 @@ impl Tensor {
 
     /// Maximum absolute value (0 for an all-zero tensor).
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        max_abs(&self.data)
     }
 
     /// Squared L2 norm.
@@ -254,6 +254,23 @@ impl Tensor {
         }
         self.data.iter().filter(|&&x| x == 0.0).count() as f32 / self.len() as f32
     }
+}
+
+/// The largest `|v|` in `x` (0.0 if empty or all NaN), scanned as eight
+/// partial maxima so the loop vectorizes. Bitwise the sequential
+/// `fold(0.0, max)`: a maximum ignores order, and `f32::max` ignores NaN.
+pub(crate) fn max_abs(x: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let mut chunks = x.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v.abs());
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *m = m.max(v.abs());
+    }
+    lanes.iter().fold(0.0f32, |m, &v| m.max(v))
 }
 
 impl Default for Tensor {

@@ -137,7 +137,7 @@ echo "== bench regression gate (bench_check vs results/baselines) =="
 # and commit the updated results/baselines/.
 ./target/release/bench_check
 
-echo "== perfbench (build, tests, traced lm + cnn replays) =="
+echo "== perfbench (build, tests, traced lm + cnn + rnn replays) =="
 # The wall-clock benchmark is a package of its own that calls the
 # library's public pieces (DualProjection::speculate,
 # ApproxLinear::forward_columns, DualLstmCell::approx_preactivations,
@@ -145,9 +145,12 @@ echo "== perfbench (build, tests, traced lm + cnn replays) =="
 # above builds it. A traced run replays each layer from those pieces and
 # reports the per-layer split only when the replay is bitwise equal to
 # the library's own forward; a run that exits nonzero failed a check.
+# The cnn replay runs the per-output column kernel and correction, so it
+# also checks the conv layer's column executor on real images; the rnn
+# replay checks approx_preactivations and the two-segment gate rows.
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
-for w in lm cnn; do
+for w in lm cnn rnn; do
     out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seconds 1 --trace 1)
     if ! grep -qF "replay of public pieces is bitwise equal to the layer forward" <<<"$out"; then
