@@ -6,15 +6,18 @@
 //!
 //! Everything that does not depend on the input is computed once, when
 //! the module is built: the weights are dequantized to `f32` (the codes
-//! stay the stored state) and the projection lists its non-zero taps. A
-//! forward then makes one quantizer pass, one tap-list projection and one
-//! GEMV, bitwise equal to quantizing, projecting and dequantizing as
-//! whole tensors on every call.
+//! stay the stored state) and laid out block-major `[⌈n/8⌉][k][8]`, and
+//! the projection builds its mask tables in the same eight-row blocks. A
+//! forward then makes one quantizer pass, one blocked projection and one
+//! blocked GEMV, eight outputs side by side with one accumulator each.
+//! Every output keeps the accumulation order of quantizing, projecting
+//! and dequantizing as whole tensors, so it is bitwise that chain
+//! computed with a scalar row dot, in every build.
 
-use crate::projection::TernaryProjection;
+use crate::projection::{TernaryProjection, BLOCK_ROWS};
 use duet_tensor::fixed::Int4Tensor;
 use duet_tensor::rng::Rng;
-use duet_tensor::{ops, quantize, Tensor};
+use duet_tensor::{ops, parallel, quantize, Tensor};
 
 /// Precision / size configuration of an approximate module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +48,9 @@ pub struct ApproxLinear {
     projection: TernaryProjection,
     /// Quantized weights `[n, k]`.
     weights: Int4Tensor,
-    /// `weights` dequantized once, at construction: the GEMV operand.
-    dequantized: Tensor,
+    /// `weights` dequantized once, at construction, block-major
+    /// `[⌈n/8⌉][k][8]` with the rows past `n` zero: the GEMV operand.
+    dequantized: Vec<[f32; BLOCK_ROWS]>,
     bias: Tensor,
     config: ApproxConfig,
 }
@@ -103,7 +107,7 @@ impl ApproxLinear {
         );
         Self {
             projection,
-            dequantized: weights.dequantize(),
+            dequantized: block_major(&weights.dequantize()),
             weights,
             bias,
             config,
@@ -165,6 +169,11 @@ impl ApproxLinear {
     pub fn forward_into(&self, x: &[f32], out: &mut [f32], work: &mut Vec<f32>) {
         let (d, k) = (self.input_dim(), self.projection.reduced_dim());
         assert_eq!(x.len(), d, "approximate module input length mismatch");
+        assert_eq!(
+            out.len(),
+            self.output_dim(),
+            "approximate module output length mismatch"
+        );
         if work.len() < d + k {
             work.resize(d + k, 0.0);
         }
@@ -185,17 +194,36 @@ impl ApproxLinear {
         };
         // Step 2 (Alignment Units + Adder Trees): ternary projection.
         self.projection.project_into(xq, projected);
-        // Step 3 (Systolic Array): low-precision GEMV.
-        ops::gemv_into(&self.dequantized, projected, out);
-        // Step 4: bias.
-        for (y, &b) in out.iter_mut().zip(self.bias.data()) {
-            *y += b;
-        }
+        // Steps 3 and 4 (Systolic Array, then bias): low-precision GEMV.
+        // Each output folds its products from −0.0, the identity `f32`'s
+        // `Sum` starts from, in ascending `j`, then adds its bias: the
+        // scalar `ops::gemv` row dot plus the bias.
+        let projected = &*projected;
+        for_each_block(out, 1, self.output_dim() * k, |b, out| {
+            let mut acc = [-0.0f32; BLOCK_ROWS];
+            for (w, &p) in self.block(b).iter().zip(projected) {
+                for (a, &w) in acc.iter_mut().zip(w) {
+                    *a += w * p;
+                }
+            }
+            let bias = &self.bias.data()[b * BLOCK_ROWS..];
+            for ((y, a), &bv) in out.iter_mut().zip(acc).zip(bias) {
+                *y = a + bv;
+            }
+        });
+    }
+
+    /// Output block `b`'s `[k][8]` slice of the block-major weights.
+    fn block(&self, b: usize) -> &[[f32; BLOCK_ROWS]] {
+        let k = self.projection.reduced_dim();
+        &self.dequantized[b * k..(b + 1) * k]
     }
 
     /// Forward for every column of a `[d, cols]` matrix; returns
     /// `[n, cols]`. Used by the CONV path where the im2col patch matrix
-    /// replaces the input vector.
+    /// replaces the input vector. The GEMM accumulates each output as
+    /// `ops::matmul_naive` does (from +0.0 in ascending `j`, zero weights
+    /// skipped), and the bias is added after.
     ///
     /// # Panics
     ///
@@ -211,14 +239,28 @@ impl ApproxLinear {
                 .projection
                 .project_columns(&quantize::fake_quantize_bits(m, bits)),
         };
-        let mut y = ops::matmul(&self.dequantized, &projected);
-        let cols = y.shape().dim(1);
-        for i in 0..self.output_dim() {
-            let b = self.bias.data()[i];
-            for v in &mut y.data_mut()[i * cols..(i + 1) * cols] {
-                *v += b;
+        let (n, k) = (self.output_dim(), self.projection.reduced_dim());
+        let cols = m.shape().dim(1);
+        let mut y = Tensor::zeros(&[n, cols]);
+        let pd = projected.data();
+        for_each_block(y.data_mut(), cols, n * k * cols, |b, yblock| {
+            for (w, prow) in self.block(b).iter().zip(pd.chunks_exact(cols)) {
+                for (yrow, &w) in yblock.chunks_exact_mut(cols).zip(w) {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    for (v, &p) in yrow.iter_mut().zip(prow) {
+                        *v += w * p;
+                    }
+                }
             }
-        }
+            let bias = &self.bias.data()[b * BLOCK_ROWS..];
+            for (yrow, &bv) in yblock.chunks_exact_mut(cols).zip(bias) {
+                for v in yrow {
+                    *v += bv;
+                }
+            }
+        });
         y
     }
 
@@ -249,7 +291,7 @@ impl ApproxLinear {
         };
         Self::from_parts(
             self.projection.clone(),
-            &self.dequantized,
+            &self.weights.dequantize(),
             self.bias.clone(),
             config,
         )
@@ -261,6 +303,54 @@ impl ApproxLinear {
         let projection = TernaryProjection::sample(d, config.reduced_dim, rng);
         let w = duet_tensor::rng::normal(rng, &[n, config.reduced_dim], 0.0, 0.1);
         Self::from_parts(projection, &w, Tensor::zeros(&[n]), config)
+    }
+}
+
+/// An `[n, k]` matrix laid out block-major `[⌈n/8⌉][k][8]`: block `b`
+/// holds rows `8b..8b + 8`, column by column, with the rows past `n`
+/// zero.
+fn block_major(w: &Tensor) -> Vec<[f32; BLOCK_ROWS]> {
+    let (n, k) = (w.shape().dim(0), w.shape().dim(1));
+    let mut blocks = vec![[0.0; BLOCK_ROWS]; n.div_ceil(BLOCK_ROWS) * k];
+    for (i, row) in w.data().chunks_exact(k).enumerate() {
+        let (block, r) = (i / BLOCK_ROWS * k, i % BLOCK_ROWS);
+        for (j, &v) in row.iter().enumerate() {
+            blocks[block + j][r] = v;
+        }
+    }
+    blocks
+}
+
+/// Calls `f(b, rows)` once per eight-row block `b` of a row-major
+/// `[n, row_len]` output, `rows` being the block's `[8, row_len]` window
+/// (fewer rows in a last, partial block). Above [`ops::PAR_MIN_FLOPS`]
+/// `flops` the full blocks are striped over [`parallel::num_threads`]
+/// workers, as `ops::gemv` stripes rows; each block is one call either
+/// way, so the result does not depend on the thread count.
+fn for_each_block(
+    out: &mut [f32],
+    row_len: usize,
+    flops: usize,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let block_len = BLOCK_ROWS * row_len;
+    if block_len == 0 {
+        return;
+    }
+    let full = out.len() / block_len;
+    let threads = if flops >= ops::PAR_MIN_FLOPS {
+        parallel::num_threads()
+    } else {
+        1
+    };
+    let (head, tail) = out.split_at_mut(full * block_len);
+    parallel::for_each_row_chunk(head, full, block_len, threads, |blocks, chunk| {
+        for (b, rows) in blocks.zip(chunk.chunks_exact_mut(block_len)) {
+            f(b, rows);
+        }
+    });
+    if !tail.is_empty() {
+        f(full, tail);
     }
 }
 

@@ -151,8 +151,24 @@ impl DualAttention {
         engine: &mut SpeculationEngine,
         xs: &Tensor,
         theta_attn: f32,
-        mut guard: Option<&mut SpeculationGuard>,
+        guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, Vec<SwitchingMap>) {
+        let mut maps = Vec::new();
+        let out = self.forward_maps_into(engine, xs, theta_attn, guard, &mut maps);
+        (out, maps)
+    }
+
+    /// [`DualAttention::forward_with`] appending its maps to the caller's
+    /// list (reserving room for them), so a block can reserve its whole
+    /// list once.
+    fn forward_maps_into(
+        &self,
+        engine: &mut SpeculationEngine,
+        xs: &Tensor,
+        theta_attn: f32,
+        mut guard: Option<&mut SpeculationGuard>,
+        maps: &mut Vec<SwitchingMap>,
+    ) -> Tensor {
         assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
         assert_eq!(xs.shape().dim(1), self.m, "model dim mismatch");
         let t_len = xs.shape().dim(0);
@@ -162,7 +178,7 @@ impl DualAttention {
         let mut q_all = vec![0.0f32; t_len * m];
         let mut k_all = vec![0.0f32; t_len * m];
         let mut v_all = vec![0.0f32; t_len * m];
-        let mut maps = Vec::with_capacity(4 * t_len);
+        maps.reserve(4 * t_len);
         for t in 0..t_len {
             let rows = t * m..(t + 1) * m;
             let x_t = &xs.data()[rows.clone()];
@@ -188,7 +204,7 @@ impl DualAttention {
                 guard.as_deref_mut(),
             ));
         }
-        (out, maps)
+        out
     }
 
     /// Dense reference over the sequence, in the exact arithmetic order
@@ -450,9 +466,15 @@ impl DualTransformerBlock {
         assert_eq!(xs.shape().dim(1), m, "model dim mismatch");
         let mut engine = SpeculationEngine::new();
 
-        let (attn_out, mut maps) =
-            self.attn
-                .forward_with(&mut engine, xs, thresholds.theta_attn, guard.as_deref_mut());
+        // Four attention maps and two FFN maps per position.
+        let mut maps = Vec::with_capacity(6 * t_len);
+        let attn_out = self.attn.forward_maps_into(
+            &mut engine,
+            xs,
+            thresholds.theta_attn,
+            guard.as_deref_mut(),
+            &mut maps,
+        );
 
         // residual 1: a = x + attn(x)
         let mut a = xs.clone();

@@ -280,7 +280,8 @@ impl DualProjection {
 
     /// [`DualProjection::forward`] into the caller's `out` (`[n]`): the
     /// speculator runs in the engine's scratch, so once that scratch is
-    /// warm the only allocation is the returned map.
+    /// warm the only allocation is the returned map's words, and a map of
+    /// up to 64 outputs holds its word inline, so it allocates nothing.
     ///
     /// # Panics
     ///

@@ -10,35 +10,41 @@
 //! Because the entries are ternary, the product `Px` needs only sign flips
 //! and additions — the paper's Alignment Units + Adder Trees (§III-B
 //! step 2). [`TernaryProjection::project`] mirrors that: no
-//! multiplications on the data path. Each row's non-zero entries are
-//! listed once, at sampling time, as taps in ascending column order, so a
-//! projection visits only the ~d/3 inputs a row actually adds.
+//! multiplications on the data path. At sampling time each entry becomes
+//! an AND mask and an XOR mask on the input's bits, laid out block-major
+//! `[⌈k/8⌉][d][8]`, so eight output rows run side by side, one
+//! accumulator each, every row adding its inputs in ascending column
+//! order. A zero entry masks its input to −0.0, which changes no sum, so
+//! the blocked walk is bitwise a walk over the non-zero entries alone.
 
 use duet_tensor::rng::Rng;
 use duet_tensor::Tensor;
 
-/// One non-zero entry of a projection row: the input column it reads and
-/// the `f32` sign bit it applies (0 for +1, [`NEGATE`] for −1). Flipping
-/// the sign bit and adding is bitwise `acc - v`, IEEE subtraction being
-/// addition of the negation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Tap {
-    col: u32,
-    sign: u32,
-}
+/// Output rows per block of the block-major tables: the projection's
+/// masks here and the approximate module's GEMV weights
+/// (`crate::approx`). A block's rows accumulate side by side.
+pub(crate) const BLOCK_ROWS: usize = 8;
 
 /// The `f32` sign bit.
-const NEGATE: u32 = 0x8000_0000;
+const SIGN: u32 = 0x8000_0000;
 
 /// A ternary random projection `R^d → R^k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TernaryProjection {
     /// Entries in {-1, 0, +1}, row-major `[k, d]`.
     entries: Vec<i8>,
-    /// The non-zero entries, row by row in ascending column order; row
-    /// `i`'s taps are `taps[row_start[i]..row_start[i + 1]]`.
-    taps: Vec<Tap>,
-    row_start: Vec<usize>,
+    /// Per entry, block-major `[⌈k/8⌉][d][8]`: the mask ANDed into the
+    /// input's bits, all ones for a non-zero entry and 0 for a zero one
+    /// (and for the padding rows past `k`).
+    and_mask: Vec<[u32; BLOCK_ROWS]>,
+    /// Same layout: the mask XORed in after the AND, the sign bit for −1
+    /// and for 0, 0 for +1. A −1 entry adds the negated input (IEEE
+    /// subtraction being addition of the negation); a zero entry adds
+    /// −0.0, the identity of addition (`a + −0.0` is `a` for every `a`,
+    /// ±0 included).
+    xor_mask: Vec<[u32; BLOCK_ROWS]>,
+    /// Non-zero entry count: the adder tree's additions.
+    nonzero: usize,
     k: usize,
     d: usize,
     scale: f32,
@@ -69,32 +75,36 @@ impl TernaryProjection {
                 }
             })
             .collect();
-        let mut taps = Vec::new();
-        let mut row_start = Vec::with_capacity(k + 1);
-        for row in entries.chunks_exact(d) {
-            row_start.push(taps.len());
+        let blocks = k.div_ceil(BLOCK_ROWS);
+        let mut and_mask = vec![[0; BLOCK_ROWS]; blocks * d];
+        let mut xor_mask = vec![[SIGN; BLOCK_ROWS]; blocks * d];
+        for (i, row) in entries.chunks_exact(d).enumerate() {
+            let (block, r) = (i / BLOCK_ROWS * d, i % BLOCK_ROWS);
             for (j, &e) in row.iter().enumerate() {
                 if e != 0 {
-                    let col = u32::try_from(j).expect("input dim fits u32");
-                    let sign = if e < 0 { NEGATE } else { 0 };
-                    taps.push(Tap { col, sign });
+                    and_mask[block + j][r] = u32::MAX;
+                    xor_mask[block + j][r] = if e < 0 { SIGN } else { 0 };
                 }
             }
         }
-        row_start.push(taps.len());
+        let nonzero = entries.iter().filter(|&&e| e != 0).count();
         Self {
             entries,
-            taps,
-            row_start,
+            and_mask,
+            xor_mask,
+            nonzero,
             k,
             d,
             scale: (3.0 / k as f32).sqrt(),
         }
     }
 
-    /// Row `i`'s taps.
-    fn row_taps(&self, i: usize) -> &[Tap] {
-        &self.taps[self.row_start[i]..self.row_start[i + 1]]
+    /// Each eight-row block's `[d][8]` AND and XOR tables, in row order.
+    fn blocks(&self) -> impl Iterator<Item = (&[[u32; BLOCK_ROWS]], &[[u32; BLOCK_ROWS]])> {
+        let d = self.d;
+        self.and_mask
+            .chunks_exact(d)
+            .zip(self.xor_mask.chunks_exact(d))
     }
 
     /// Input dimension `d`.
@@ -119,7 +129,7 @@ impl TernaryProjection {
 
     /// Fraction of non-zero entries (expected ≈ 1/3).
     pub fn density(&self) -> f64 {
-        self.taps.len() as f64 / self.entries.len() as f64
+        self.nonzero as f64 / self.entries.len() as f64
     }
 
     /// Projects a vector: `x' = P x`, computed with additions and
@@ -135,8 +145,8 @@ impl TernaryProjection {
     }
 
     /// [`TernaryProjection::project`] into a caller-owned `[k]` slice:
-    /// each row sums its taps' sign-flipped inputs in ascending column
-    /// order, then applies the scale.
+    /// each block's eight rows add their masked inputs side by side, each
+    /// from +0.0 in ascending column order, then apply the scale.
     ///
     /// # Panics
     ///
@@ -144,17 +154,25 @@ impl TernaryProjection {
     pub(crate) fn project_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.d, "projection input length mismatch");
         assert_eq!(out.len(), self.k, "projection output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for t in self.row_taps(i) {
-                acc += f32::from_bits(x[t.col as usize].to_bits() ^ t.sign);
+        for (out, (and, xor)) in out.chunks_mut(BLOCK_ROWS).zip(self.blocks()) {
+            let mut acc = [0.0f32; BLOCK_ROWS];
+            for ((&v, and), xor) in x.iter().zip(and).zip(xor) {
+                let v = v.to_bits();
+                for ((a, &m), &s) in acc.iter_mut().zip(and).zip(xor) {
+                    *a += f32::from_bits((v & m) ^ s);
+                }
             }
-            *o = acc * self.scale;
+            for (o, a) in out.iter_mut().zip(acc) {
+                *o = a * self.scale;
+            }
         }
     }
 
     /// Projects every column of a `[d, cols]` matrix (the im2col patch
-    /// matrix of a CONV layer): returns `[k, cols]`.
+    /// matrix of a CONV layer): returns `[k, cols]`. Each output row adds
+    /// or subtracts the matrix rows of its non-zero entries in ascending
+    /// order, as [`TernaryProjection::project`] does per column; a block's
+    /// eight rows share each matrix row while it is in cache.
     ///
     /// # Panics
     ///
@@ -163,25 +181,30 @@ impl TernaryProjection {
         assert_eq!(m.shape().rank(), 2, "project_columns expects a matrix");
         assert_eq!(m.shape().dim(0), self.d, "row count must equal d");
         let cols = m.shape().dim(1);
-        let md = m.data();
         let mut out = Tensor::zeros(&[self.k, cols]);
-        let od = out.data_mut();
-        for i in 0..self.k {
-            let orow = &mut od[i * cols..(i + 1) * cols];
-            for t in self.row_taps(i) {
-                let j = t.col as usize;
-                let mrow = &md[j * cols..(j + 1) * cols];
-                if t.sign == 0 {
-                    for (o, &v) in orow.iter_mut().zip(mrow) {
-                        *o += v;
+        if cols == 0 {
+            return out;
+        }
+        let md = m.data();
+        let oblocks = out.data_mut().chunks_mut(BLOCK_ROWS * cols);
+        for (oblock, (and, xor)) in oblocks.zip(self.blocks()) {
+            for ((mrow, and), xor) in md.chunks_exact(cols).zip(and).zip(xor) {
+                for ((orow, &a), &s) in oblock.chunks_exact_mut(cols).zip(and).zip(xor) {
+                    if a == 0 {
+                        continue;
                     }
-                } else {
-                    for (o, &v) in orow.iter_mut().zip(mrow) {
-                        *o -= v;
+                    if s == 0 {
+                        for (o, &v) in orow.iter_mut().zip(mrow) {
+                            *o += v;
+                        }
+                    } else {
+                        for (o, &v) in orow.iter_mut().zip(mrow) {
+                            *o -= v;
+                        }
                     }
                 }
             }
-            for o in orow.iter_mut() {
+            for o in oblock.iter_mut() {
                 *o *= self.scale;
             }
         }
@@ -203,7 +226,7 @@ impl TernaryProjection {
     /// Number of add/sub operations one projection costs (non-zero entry
     /// count) — the quantity the Speculator's adder tree actually performs.
     pub fn additions_per_projection(&self) -> usize {
-        self.taps.len()
+        self.nonzero
     }
 }
 

@@ -16,7 +16,10 @@
 //! neuron artifact the hardware keeps in the GLB. Bit `i` lives in word
 //! `i / 64` at position `i % 64`; serialized little-endian this is
 //! exactly the byte layout of [`SwitchingMap::packed_bytes`] (bit `i` in
-//! byte `i / 8` at position `i % 8`).
+//! byte `i / 8` at position `i % 8`). A map of up to 64 neurons holds its
+//! one word inline, so building it allocates nothing; a longer map keeps
+//! all its words on the heap. Which storage holds the words follows from
+//! the length alone, and equality compares the words, not the storage.
 
 use duet_nn::Activation;
 use duet_tensor::Tensor;
@@ -120,13 +123,36 @@ impl SwitchingPolicy {
 /// A binary switching map: bit `i` set means neuron *i* needs the
 /// Executor (the paper's `m_i = 1`).
 ///
-/// Storage is bit-packed `u64` words. Invariant: bits at positions
-/// `>= len` in the last word are always zero, so derived equality and
-/// word-level popcounts are exact.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Storage is bit-packed `u64` words: up to `INLINE_WORDS` of them in
+/// `inline`, more all in `heap`. Invariants: `heap` is empty while the
+/// words fit inline, and bits at positions `>= len` in the last word are
+/// always zero, so equality and word-level popcounts are exact.
+#[derive(Clone, Default)]
 pub struct SwitchingMap {
-    words: Vec<u64>,
+    inline: [u64; INLINE_WORDS],
+    heap: Vec<u64>,
     len: usize,
+}
+
+/// Words a map holds without a heap allocation: every map of up to 64
+/// neurons (each `lm` projection's, each `rnn` gate's).
+const INLINE_WORDS: usize = 1;
+
+impl PartialEq for SwitchingMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for SwitchingMap {}
+
+impl std::fmt::Debug for SwitchingMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SwitchingMap")
+            .field("words", &self.words())
+            .field("len", &self.len)
+            .finish()
+    }
 }
 
 /// Packs 64 flags of 0 or 1 into a word, flag `b` to bit `b`. Eight
@@ -180,23 +206,55 @@ impl SwitchingMap {
         Self::default()
     }
 
-    /// Packs `sensitive(v)` over `values`, one 64-value word per pass;
-    /// a short last chunk leaves the tail bits zero.
-    fn pack(values: &[f32], sensitive: impl Fn(f32) -> bool) -> Self {
-        let words = values
-            .chunks(64)
-            .map(|chunk| {
-                let mut flags = [0u8; 64];
-                for (f, &v) in flags.iter_mut().zip(chunk) {
-                    *f = u8::from(sensitive(v));
-                }
-                word_of(&flags)
-            })
-            .collect();
+    /// An all-insensitive map of `len` neurons, its words in the storage
+    /// that length calls for.
+    fn zeroed(len: usize) -> Self {
+        let words = len.div_ceil(64);
         Self {
-            words,
-            len: values.len(),
+            inline: [0; INLINE_WORDS],
+            heap: if words > INLINE_WORDS {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+            len,
         }
+    }
+
+    /// Grows the map to `len` neurons; the new bits are zero. Moves the
+    /// words to the heap once they no longer fit inline.
+    fn grow(&mut self, len: usize) {
+        let (old, new) = (self.len.div_ceil(64), len.div_ceil(64));
+        if new > INLINE_WORDS {
+            if old <= INLINE_WORDS {
+                self.heap = Vec::with_capacity(new);
+                self.heap.extend_from_slice(&self.inline[..old]);
+            }
+            self.heap.resize(new, 0);
+        }
+        self.len = len;
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match self.len.div_ceil(64) {
+            n if n <= INLINE_WORDS => &mut self.inline[..n],
+            _ => &mut self.heap,
+        }
+    }
+
+    /// Packs `sensitive(v)` over `values`, one 64-value word per pass,
+    /// written straight into the map's storage; a short last chunk leaves
+    /// the tail bits zero.
+    fn pack(values: &[f32], sensitive: impl Fn(f32) -> bool) -> Self {
+        let mut map = Self::zeroed(values.len());
+        for (word, chunk) in map.words_mut().iter_mut().zip(values.chunks(64)) {
+            let mut flags = [0u8; 64];
+            for (f, &v) in flags.iter_mut().zip(chunk) {
+                *f = u8::from(sensitive(v));
+            }
+            *word = word_of(&flags);
+        }
+        map
     }
 
     /// Builds a map from explicit flags.
@@ -206,20 +264,19 @@ impl SwitchingMap {
 
     /// An all-sensitive map of length `n` (dense execution).
     pub fn all_sensitive(n: usize) -> Self {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        let mut map = Self::zeroed(n);
+        let words = map.words_mut();
+        words.fill(u64::MAX);
         if let Some(last) = words.last_mut() {
             *last &= tail_mask(n);
         }
-        Self { words, len: n }
+        map
     }
 
     /// An all-insensitive map of length `n` (nothing to execute) — e.g.
     /// the identity for [`SwitchingMap::union_in_place`].
     pub fn all_insensitive(n: usize) -> Self {
-        Self {
-            words: vec![0u64; n.div_ceil(64)],
-            len: n,
-        }
+        Self::zeroed(n)
     }
 
     /// Number of neurons covered.
@@ -235,7 +292,10 @@ impl SwitchingMap {
     /// The packed words backing the map (bit `i` of the map is bit
     /// `i % 64` of word `i / 64`; tail bits past `len` are zero).
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match self.len.div_ceil(64) {
+            n if n <= INLINE_WORDS => &self.inline[..n],
+            _ => &self.heap,
+        }
     }
 
     /// Whether neuron `i` is sensitive.
@@ -249,18 +309,16 @@ impl SwitchingMap {
             "index {i} out of range for map of {}",
             self.len
         );
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Appends one neuron's flag.
     pub fn push(&mut self, sensitive: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
+        let i = self.len;
+        self.grow(i + 1);
         if sensitive {
-            *self.words.last_mut().expect("word just ensured") |= 1u64 << (self.len % 64);
+            self.words_mut()[i / 64] |= 1u64 << (i % 64);
         }
-        self.len += 1;
     }
 
     /// Appends another map's flags (bit-level concatenation; `other` need
@@ -268,9 +326,9 @@ impl SwitchingMap {
     pub fn extend_from_map(&mut self, other: &SwitchingMap) {
         if self.len.is_multiple_of(64) {
             // word-aligned fast path: tail bits of `other` are already zero
-            self.words.extend_from_slice(&other.words);
-            self.len += other.len;
-            self.words.truncate(self.len.div_ceil(64));
+            let start = self.len / 64;
+            self.grow(self.len + other.len);
+            self.words_mut()[start..].copy_from_slice(other.words());
         } else {
             self.extend(other.iter());
         }
@@ -278,13 +336,14 @@ impl SwitchingMap {
 
     /// Iterator over the per-neuron flags.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(|i| self.words[i / 64] >> (i % 64) & 1 == 1)
+        let words = self.words();
+        (0..self.len).map(move |i| words[i / 64] >> (i % 64) & 1 == 1)
     }
 
     /// Count of sensitive neurons (Executor workload) — a popcount over
     /// the packed words.
     pub fn sensitive_count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Count of sensitive neurons in `start..end` — e.g. one channel's
@@ -298,17 +357,18 @@ impl SwitchingMap {
         if start == end {
             return 0;
         }
+        let words = self.words();
         let (wa, wb) = (start / 64, (end - 1) / 64);
         let lo = u64::MAX << (start % 64);
         let hi = tail_mask(end);
         if wa == wb {
-            return (self.words[wa] & lo & hi).count_ones() as usize;
+            return (words[wa] & lo & hi).count_ones() as usize;
         }
-        let mut n = (self.words[wa] & lo).count_ones() as usize;
-        for w in &self.words[wa + 1..wb] {
+        let mut n = (words[wa] & lo).count_ones() as usize;
+        for w in &words[wa + 1..wb] {
             n += w.count_ones() as usize;
         }
-        n + (self.words[wb] & hi).count_ones() as usize
+        n + (words[wb] & hi).count_ones() as usize
     }
 
     /// Per-word popcounts over the packed backing words (tail bits past
@@ -316,7 +376,7 @@ impl SwitchingMap {
     /// only). This is the word-granular form of the Executor's workload
     /// accounting: summing it is [`SwitchingMap::sensitive_count`].
     pub fn popcount_words(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().map(|w| w.count_ones())
+        self.words().iter().map(|w| w.count_ones())
     }
 
     /// Iterator over `(word_index, word)` pairs, **skipping all-zero
@@ -324,7 +384,7 @@ impl SwitchingMap {
     /// sparse execution cost O(popcount) instead of O(bits). Bit `b` of a
     /// yielded word is neuron `word_index * 64 + b`.
     pub fn iter_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.words
+        self.words()
             .iter()
             .enumerate()
             .filter_map(|(i, &w)| (w != 0).then_some((i, w)))
@@ -348,8 +408,8 @@ impl SwitchingMap {
         let (wa, wb) = (start / 64, (end - 1) / 64);
         let lo = u64::MAX << (start % 64);
         let hi = tail_mask(end);
-        for wi in wa..=wb {
-            let mut w = self.words[wi];
+        for (wi, &word) in (wa..=wb).zip(&self.words()[wa..=wb]) {
+            let mut w = word;
             if wi == wa {
                 w &= lo;
             }
@@ -374,7 +434,7 @@ impl SwitchingMap {
 
     /// Iterator over sensitive indices, in ascending order.
     pub fn sensitive_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        self.words().iter().enumerate().flat_map(|(wi, &w)| {
             std::iter::successors((w != 0).then_some(w), |&rest| {
                 let next = rest & (rest - 1); // clear lowest set bit
                 (next != 0).then_some(next)
@@ -398,7 +458,7 @@ impl SwitchingMap {
             "index {i} out of range for map of {}",
             self.len
         );
-        self.words[i / 64] &= !(1u64 << (i % 64));
+        self.words_mut()[i / 64] &= !(1u64 << (i % 64));
     }
 
     /// ReLU over the outputs `pre` this map covers, fused with the
@@ -418,7 +478,7 @@ impl SwitchingMap {
     /// Panics if `pre.len()` differs from the map length.
     pub fn relu_correct(&mut self, pre: &mut [f32]) {
         assert_eq!(pre.len(), self.len, "output length mismatch");
-        for (word, chunk) in self.words.iter_mut().zip(pre.chunks_mut(64)) {
+        for (word, chunk) in self.words_mut().iter_mut().zip(pre.chunks_mut(64)) {
             let mut keep = flags_of(*word);
             for (k, v) in keep.iter_mut().zip(chunk.iter_mut()) {
                 *v = v.max(0.0);
@@ -438,7 +498,7 @@ impl SwitchingMap {
     /// Panics if lengths disagree.
     pub fn union_in_place(&mut self, other: &SwitchingMap) {
         assert_eq!(self.len, other.len, "union length mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+        for (a, &b) in self.words_mut().iter_mut().zip(other.words()) {
             *a |= b;
         }
     }
@@ -455,7 +515,7 @@ impl SwitchingMap {
         let mut out = approximate.clone();
         let od = out.data_mut();
         let ad = accurate.data();
-        for (wi, &w) in self.words.iter().enumerate() {
+        for (wi, &w) in self.words().iter().enumerate() {
             let base = wi * 64;
             let span = 64.min(self.len - base);
             let full = if span == 64 {
@@ -482,7 +542,7 @@ impl SwitchingMap {
     /// byte) — the format stored in the GLB and the canonical on-disk
     /// codec of `duet-sim`'s trace blobs.
     pub fn packed_bytes(&self) -> Vec<u8> {
-        self.words
+        self.words()
             .iter()
             .flat_map(|w| w.to_le_bytes())
             .take(self.len.div_ceil(8))
@@ -497,14 +557,15 @@ impl SwitchingMap {
     /// Panics if `bytes` is too short for `len`.
     pub fn from_packed(bytes: &[u8], len: usize) -> Self {
         assert!(bytes.len() * 8 >= len, "packed buffer too short");
-        let mut words = vec![0u64; len.div_ceil(64)];
+        let mut map = Self::zeroed(len);
+        let words = map.words_mut();
         for (i, &b) in bytes.iter().take(len.div_ceil(8)).enumerate() {
             words[i / 8] |= (b as u64) << (8 * (i % 8));
         }
         if let Some(last) = words.last_mut() {
             *last &= tail_mask(len);
         }
-        Self { words, len }
+        map
     }
 }
 
@@ -826,6 +887,74 @@ mod tests {
                 assert_eq!(got[0].0, hot / 64, "len {n} hot {hot}");
                 assert_eq!(got[0].1, 1u64 << (hot % 64), "len {n} hot {hot}");
                 assert_eq!(m.popcount_words().sum::<u32>(), 1, "len {n} hot {hot}");
+            }
+        }
+    }
+
+    #[test]
+    fn builders_agree_whichever_storage_holds_the_words() {
+        // 0 and 1 words inline; 2 and 3 words on the heap, built there
+        // directly or grown there from inline storage.
+        for n in [0usize, 1, 63, 64, 65, 128, 129] {
+            let flags: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i + 1 == n).collect();
+            let values: Vec<f32> = flags.iter().map(|&f| if f { 1.0 } else { -1.0 }).collect();
+            let want = SwitchingMap::from_flags(flags.clone());
+            let mut built = vec![
+                ("map_slice", SwitchingPolicy::relu(0.0).map_slice(&values)),
+                (
+                    "from_packed",
+                    SwitchingMap::from_packed(&want.packed_bytes(), n),
+                ),
+            ];
+            let mut pushed = SwitchingMap::empty();
+            for &f in &flags {
+                pushed.push(f);
+            }
+            built.push(("push", pushed));
+            // an unaligned split, and the word-aligned fast path
+            for at in [n / 2, n.min(64)] {
+                let mut joined = SwitchingMap::from_flags(flags[..at].to_vec());
+                joined.extend_from_map(&SwitchingMap::from_flags(flags[at..].to_vec()));
+                built.push(("extend_from_map", joined));
+            }
+            let mut union = SwitchingMap::all_insensitive(n);
+            union.union_in_place(&want);
+            built.push(("all_insensitive + union_in_place", union));
+            for (what, m) in &built {
+                assert_eq!(m, &want, "{what} len {n}");
+                assert_eq!(m.len(), n, "{what} len {n}");
+                assert_eq!(m.words(), want.words(), "{what} len {n}");
+                assert_eq!(m.words().len(), n.div_ceil(64), "{what} len {n}");
+                assert_eq!(m.packed_bytes(), want.packed_bytes(), "{what} len {n}");
+                assert_eq!(
+                    m.sensitive_count(),
+                    want.sensitive_count(),
+                    "{what} len {n}"
+                );
+                assert!(
+                    m.popcount_words().eq(want.popcount_words()),
+                    "{what} len {n}"
+                );
+                assert_eq!(flags_of(m), flags, "{what} len {n}");
+            }
+
+            let all = SwitchingMap::all_sensitive(n);
+            let mut grown = SwitchingMap::empty();
+            grown.extend(std::iter::repeat_n(true, n));
+            let mut union = SwitchingMap::all_insensitive(n);
+            union.union_in_place(&all);
+            for m in [&grown, &union, &all.clone()] {
+                assert_eq!(m, &all, "all-sensitive len {n}");
+                assert_eq!(m.words(), all.words(), "all-sensitive len {n}");
+                assert_eq!(
+                    m.packed_bytes(),
+                    all.packed_bytes(),
+                    "all-sensitive len {n}"
+                );
+                assert_eq!(m.sensitive_count(), n, "all-sensitive len {n}");
+            }
+            if n > 0 {
+                assert_ne!(all, SwitchingMap::all_insensitive(n), "len {n}");
             }
         }
     }

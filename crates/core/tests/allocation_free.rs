@@ -1,16 +1,19 @@
 //! Allocation pin for the slice forwards: once warm, the speculator runs
 //! in caller-owned buffers, a speculated projection allocates only the
-//! switching map it returns, and the CONV column executor allocates
-//! nothing.
+//! switching map it returns and only when the map is too long to hold its
+//! one word inline (more than 64 outputs), the CONV column executor
+//! allocates nothing, and a dual transformer block allocates barely more
+//! than its dense reference.
 //!
 //! The counting allocator counts per thread, so tests running in
 //! parallel do not see each other's allocations.
 
 use duet_core::engine::MacMode;
 use duet_core::{
-    ApproxConfig, ApproxLinear, DualProjection, SpeculationEngine, SwitchingMap, SwitchingPolicy,
+    ApproxConfig, ApproxLinear, DualAttention, DualFfn, DualProjection, DualTransformerBlock,
+    SpeculationEngine, SwitchingMap, SwitchingPolicy, TransformerThresholds,
 };
-use duet_tensor::rng::{self, seeded};
+use duet_tensor::rng::{self, seeded, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -86,25 +89,66 @@ fn warm_approx_forward_into_allocates_nothing() {
     }
 }
 
+fn projection(r: &mut Rng, n: usize, d: usize, k: usize) -> DualProjection {
+    let w = rng::normal(r, &[n, d], 0.0, 0.3);
+    let b = rng::normal(r, &[n], 0.0, 0.1);
+    DualProjection::learn(&w, &b, MacMode::SkipZeroWeights, k, 200, r)
+}
+
 #[test]
 fn warm_projection_forward_into_allocates_only_its_map() {
     let mut r = seeded(32);
-    let (n, d) = (100, 48);
-    let w = rng::normal(&mut r, &[n, d], 0.0, 0.3);
-    let b = rng::normal(&mut r, &[n], 0.0, 0.1);
-    let proj = DualProjection::learn(&w, &b, MacMode::SkipZeroWeights, 16, 200, &mut r);
-    let x = rng::normal(&mut r, &[d], 0.0, 1.0);
-    let policy = SwitchingPolicy::relu(0.0);
-    let mut out = vec![0.0f32; n];
-    let mut engine = SpeculationEngine::new();
-    proj.forward_into(&mut engine, &policy, x.data(), &mut out, None);
-    let (map, allocated) =
-        counted(|| proj.forward_into(&mut engine, &policy, x.data(), &mut out, None));
-    assert_eq!(map.words().len(), 2);
-    assert_eq!(allocated, (1, 16), "one allocation: the map's two words");
-    let mut fresh = SpeculationEngine::new();
-    let (pre, fresh_map) = proj.forward(&mut fresh, &policy, &x, None);
-    assert_eq!((out.as_slice(), &map), (pre.data(), &fresh_map));
+    let d = 48;
+    // (outputs, allocations): a map of up to 64 outputs holds its one
+    // word inline; a longer one allocates its words once.
+    for (n, want) in [
+        (16, (0, 0)),
+        (32, (0, 0)),
+        (64, (0, 0)),
+        (65, (1, 16)),
+        (100, (1, 16)),
+    ] {
+        let proj = projection(&mut r, n, d, 16);
+        let x = rng::normal(&mut r, &[d], 0.0, 1.0);
+        let policy = SwitchingPolicy::relu(0.0);
+        let mut out = vec![0.0f32; n];
+        let mut engine = SpeculationEngine::new();
+        proj.forward_into(&mut engine, &policy, x.data(), &mut out, None);
+        let (map, allocated) =
+            counted(|| proj.forward_into(&mut engine, &policy, x.data(), &mut out, None));
+        assert_eq!(map.words().len(), n.div_ceil(64), "n {n}");
+        assert_eq!(allocated, want, "n {n}");
+        let mut fresh = SpeculationEngine::new();
+        let (pre, fresh_map) = proj.forward(&mut fresh, &policy, &x, None);
+        assert_eq!((out.as_slice(), &map), (pre.data(), &fresh_map), "n {n}");
+    }
+}
+
+#[test]
+fn warm_transformer_block_allocates_little_more_than_dense() {
+    let mut r = seeded(34);
+    let (m, f, k, t_len) = (16, 32, 8, 8);
+    let attn = DualAttention::new(
+        projection(&mut r, m, m, k),
+        projection(&mut r, m, m, k),
+        projection(&mut r, m, m, k),
+        projection(&mut r, m, m, k),
+    );
+    let ffn = DualFfn::new(projection(&mut r, f, m, k), projection(&mut r, m, f, f / 2));
+    let block = DualTransformerBlock::new(attn, ffn);
+    let xs = rng::normal(&mut r, &[t_len, m], 0.0, 1.0);
+    let th = TransformerThresholds::uniform(0.4);
+    block.forward(&xs, &th);
+    block.forward_dense(&xs);
+    let (out, (dual, _)) = counted(|| block.forward(&xs, &th));
+    let ((), (dense, _)) = counted(|| {
+        block.forward_dense(&xs);
+    });
+    assert_eq!(out.maps.len(), 6 * t_len);
+    assert!(
+        dual <= dense + 3,
+        "dual block allocated {dual} times, its dense reference {dense}"
+    );
 }
 
 #[test]

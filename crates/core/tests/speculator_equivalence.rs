@@ -1,20 +1,27 @@
 //! The speculator's bitwise contract: `ApproxLinear::forward` and
 //! `forward_columns` run on state precomputed at build time (weights
-//! dequantized once, the projection as per-row tap lists, one fused
-//! quantizer pass), and must reproduce bit for bit the whole-tensor chain
-//! rebuilt here from public pieces:
+//! dequantized once into eight-row blocks, the projection as mask tables
+//! in the same blocks, one fused quantizer pass), and must reproduce bit
+//! for bit the whole-tensor chain rebuilt here from public pieces:
 //!
 //! 1. `Fixed16Tensor::quantize(x).truncate_to_int4().dequantize()` at
 //!    4-bit activations, `Int4Tensor::quantize_with_bits(x, b)` at other
 //!    narrow widths, `x` itself at 16 bits;
 //! 2. the ternary projection as a walk over every `entries()` value,
 //!    adding on +1 and subtracting on −1, then the scale;
-//! 3. `weights().dequantize()` times the projection through `ops::gemv`
-//!    (`ops::matmul` for columns);
-//! 4. the bias through `ops::axpy` (a per-row loop for columns).
+//! 3. `weights().dequantize()` times the projection, each row folding
+//!    its products from −0.0 in ascending order (what `ops::gemv`
+//!    computes in the default build; `ops::matmul` for columns, which is
+//!    `ops::matmul_naive` at the sizes swept here);
+//! 4. the bias added to each output.
 //!
-//! Any change to accumulation order or to the row dot shows here, in the
-//! default build and under `--features duet-tensor/simd` alike.
+//! Any change to accumulation order shows here, and the vector form's
+//! bits are the same in the default build and under
+//! `--features duet-tensor/simd`. The sweep covers block edges (n and k
+//! of 1, 7, 8, 9 and 17), an all-zero weight row with a −0.0 bias, −0.0
+//! and ±∞ inputs, which reach the projection unquantized at 16-bit
+//! activations, and one module large enough (n·k ≥ `ops::PAR_MIN_FLOPS`)
+//! for the GEMV to stripe its blocks over `DUET_NUM_THREADS` workers.
 
 use duet_core::{ApproxConfig, ApproxLinear, TernaryProjection};
 use duet_tensor::fixed::{Fixed16Tensor, Int4Tensor};
@@ -49,12 +56,23 @@ fn forward_reference(a: &ApproxLinear, x: &Tensor) -> Tensor {
     let xq = quantize_reference(x, a.config().activation_bits);
     let p = a.projection();
     let projected = Tensor::from_fn(&[p.reduced_dim()], |i| project_row(p, i, |j| xq.data()[j]));
-    let mut y = ops::gemv(&a.weights().dequantize(), &projected);
-    ops::axpy(1.0, a.bias(), &mut y);
-    y
+    let w = a.weights().dequantize();
+    let k = p.reduced_dim();
+    Tensor::from_fn(&[a.output_dim()], |i| {
+        let row = &w.data()[i * k..(i + 1) * k];
+        let dot = row
+            .iter()
+            .zip(projected.data())
+            .fold(-0.0f32, |acc, (&w, &p)| acc + w * p);
+        dot + a.bias().data()[i]
+    })
 }
 
-fn forward_columns_reference(a: &ApproxLinear, m: &Tensor) -> Tensor {
+fn forward_columns_reference(
+    a: &ApproxLinear,
+    m: &Tensor,
+    gemm: fn(&Tensor, &Tensor) -> Tensor,
+) -> Tensor {
     let mq = quantize_reference(m, a.config().activation_bits);
     let p = a.projection();
     let cols = m.shape().dim(1);
@@ -63,7 +81,7 @@ fn forward_columns_reference(a: &ApproxLinear, m: &Tensor) -> Tensor {
         let (i, c) = (o / cols, o % cols);
         project_row(p, i, |j| mq.data()[j * cols + c])
     });
-    let mut y = ops::matmul(&a.weights().dequantize(), &projected);
+    let mut y = gemm(&a.weights().dequantize(), &projected);
     for i in 0..a.output_dim() {
         let b = a.bias().data()[i];
         for v in &mut y.data_mut()[i * cols..(i + 1) * cols] {
@@ -80,20 +98,37 @@ fn assert_bitwise(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
-/// Inputs of one scale: dense normal, half zeroed, and all zero.
-fn inputs(r: &mut Rng, dims: &[usize], scale: f32) -> Vec<Tensor> {
+/// Inputs of one scale: dense normal, half zeroed, and all zero; at
+/// 16-bit activations also one with −0.0, +∞ and −∞ entries.
+fn inputs(r: &mut Rng, dims: &[usize], scale: f32, activation_bits: u32) -> Vec<Tensor> {
     let dense = rng::normal(r, dims, 0.0, scale);
     let mut half = rng::normal(r, dims, 0.0, scale);
     for v in half.data_mut().iter_mut().step_by(2) {
         *v = 0.0;
     }
-    vec![dense, half, Tensor::zeros(dims)]
+    let mut out = vec![dense, half, Tensor::zeros(dims)];
+    if activation_bits >= 16 {
+        let mut edges = rng::normal(r, dims, 0.0, scale);
+        let specials = [-0.0, f32::INFINITY, -0.0, f32::NEG_INFINITY, -0.0];
+        for (v, &s) in edges
+            .data_mut()
+            .iter_mut()
+            .step_by(3)
+            .zip(specials.iter().cycle())
+        {
+            *v = s;
+        }
+        out.push(Tensor::from_vec(vec![-0.0; edges.len()], dims));
+        out.push(edges);
+    }
+    out
 }
 
 fn check(a: &ApproxLinear, r: &mut Rng, what: &str) {
     let d = a.input_dim();
+    let bits = a.config().activation_bits;
     for scale in [1e-6f32, 1e-3, 0.1, 1.0, 30.0, 300.0] {
-        for x in inputs(r, &[d], scale) {
+        for x in inputs(r, &[d], scale, bits) {
             assert_bitwise(
                 &a.forward(&x),
                 &forward_reference(a, &x),
@@ -101,10 +136,10 @@ fn check(a: &ApproxLinear, r: &mut Rng, what: &str) {
             );
         }
         for cols in [1, 6, 37] {
-            for m in inputs(r, &[d, cols], scale) {
+            for m in inputs(r, &[d, cols], scale, bits) {
                 assert_bitwise(
                     &a.forward_columns(&m),
-                    &forward_columns_reference(a, &m),
+                    &forward_columns_reference(a, &m, ops::matmul),
                     &format!("{what} forward_columns ×{cols}, scale {scale}"),
                 );
             }
@@ -147,5 +182,63 @@ fn forward_is_bitwise_the_whole_tensor_chain() {
                 check(&narrower, &mut r, &format!("{what} requantized(2)"));
             }
         }
+    }
+}
+
+/// A module whose middle weight row is all zero, with a −0.0 bias there:
+/// that output is the sign of a sum of zeros, which only a fold from
+/// −0.0 keeps.
+fn module_with_zero_row(r: &mut Rng, d: usize, k: usize, n: usize, bits: u32) -> ApproxLinear {
+    let config = ApproxConfig {
+        activation_bits: bits,
+        ..ApproxConfig::paper_default(k)
+    };
+    let projection = TernaryProjection::sample(d, k, r);
+    let mut w = rng::normal(r, &[n, k], 0.0, 0.5);
+    let mut bias = rng::normal(r, &[n], 0.0, 0.2);
+    let zero = n / 2;
+    w.data_mut()[zero * k..(zero + 1) * k].fill(0.0);
+    bias.data_mut()[zero] = -0.0;
+    ApproxLinear::from_parts(projection, &w, bias, config)
+}
+
+#[test]
+fn block_edges_are_bitwise_the_whole_tensor_chain() {
+    let mut r = seeded(21);
+    for n in [1usize, 7, 8, 9, 17] {
+        for k in [1usize, 7, 8, 9, 17] {
+            for bits in [4u32, 16] {
+                let d = k + 3;
+                let a = module_with_zero_row(&mut r, d, k, n, bits);
+                check(&a, &mut r, &format!("d {d} k {k} n {n} a{bits}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn striped_gemv_is_bitwise_the_whole_tensor_chain() {
+    // 64 full blocks and a 5-row tail, above the fan-out threshold.
+    let (d, k, n) = (530, 509, 517);
+    assert!(n * k >= ops::PAR_MIN_FLOPS);
+    let mut r = seeded(22);
+    for bits in [4u32, 16] {
+        let a = module_with_zero_row(&mut r, d, k, n, bits);
+        for x in inputs(&mut r, &[d], 1.0, bits) {
+            assert_bitwise(
+                &a.forward(&x),
+                &forward_reference(&a, &x),
+                &format!("n {n} k {k} a{bits} forward"),
+            );
+        }
+        // The column GEMM stripes above the threshold too; `ops::matmul`
+        // would switch to its blocked (and, under `simd`, vector) kernel
+        // at this size, so the reference is the naive kernel itself.
+        let m = rng::normal(&mut r, &[d, 2], 0.0, 1.0);
+        assert_bitwise(
+            &a.forward_columns(&m),
+            &forward_columns_reference(&a, &m, ops::matmul_naive),
+            &format!("n {n} k {k} a{bits} forward_columns"),
+        );
     }
 }

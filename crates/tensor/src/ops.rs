@@ -297,18 +297,6 @@ pub fn gemv_with_threads(w: &Tensor, x: &Tensor, threads: usize) -> Tensor {
     y
 }
 
-/// [`gemv`] into a caller-owned output: `y = W · x`, through the same row
-/// dot and counters as [`gemv`], so the two agree bit for bit in every
-/// build; only the result allocation is left out.
-///
-/// # Panics
-///
-/// Panics if `w` is not 2-D, `x.len()` differs from its column count or
-/// `y.len()` from its row count.
-pub fn gemv_into(w: &Tensor, x: &[f32], y: &mut [f32]) {
-    gemv_rows(w, x, y, parallel::num_threads());
-}
-
 fn gemv_rows(w: &Tensor, xd: &[f32], y: &mut [f32], threads: usize) {
     assert_eq!(w.shape().rank(), 2, "gemv matrix must be 2-D");
     let (n, d) = (w.shape().dim(0), w.shape().dim(1));
@@ -571,16 +559,6 @@ mod tests {
         let xm = x.reshaped(&[3, 1]);
         let ym = matmul(&w, &xm);
         assert_eq!(y.data(), ym.data());
-    }
-
-    #[test]
-    fn gemv_into_is_bitwise_gemv() {
-        let mut r = rng::seeded(105);
-        let w = rng::normal(&mut r, &[9, 13], 0.0, 1.0);
-        let x = rng::normal(&mut r, &[13], 0.0, 1.0);
-        let mut y = vec![f32::NAN; 9];
-        gemv_into(&w, x.data(), &mut y);
-        assert_eq!(y, gemv(&w, &x).data());
     }
 
     #[test]

@@ -114,17 +114,21 @@ echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4
 thread_invariant results/BENCH_control_smoke.json -- ./target/release/control_bench --smoke
 rm -f results/BENCH_control_smoke.json
 
-echo "== dual transformer (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
+echo "== dual transformer + speculator (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
 # The dual-attention refactor's contract: θ = −∞ is bitwise the dense
 # model for every piece (DualProjection, DualAttention, DualFfn, the
 # whole block, and the re-backed DualModuleLayer), at any engine pool
-# width. The smoke exhibit then runs the distilled transformer LM end
-# to end — it asserts the bitwise pin and the MAC-savings invariant
-# in-binary — and its artifact must be byte-identical at 1/4/7
-# threads. Smoke outputs are scratch.
-DUET_NUM_THREADS=1 cargo test -q -p duet-core --offline --test transformer_equivalence
-DUET_NUM_THREADS=4 cargo test -q -p duet-core --offline --test transformer_equivalence
-DUET_NUM_THREADS=7 cargo test -q -p duet-core --offline --test transformer_equivalence
+# width. The speculator's contract: its blocked projection and GEMV are
+# bitwise the whole-tensor chain, including the module large enough for
+# the GEMV to stripe its eight-row blocks over the pool, at any width.
+# The smoke exhibit then runs the distilled transformer LM end to end —
+# it asserts the bitwise pin and the MAC-savings invariant in-binary —
+# and its artifact must be byte-identical at 1/4/7 threads. Smoke
+# outputs are scratch.
+for t in 1 4 7; do
+    DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test transformer_equivalence
+    DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test speculator_equivalence
+done
 thread_invariant results/BENCH_transformer_smoke.json -- ./target/release/transformer_bench --smoke
 rm -f results/BENCH_transformer_smoke.json
 
