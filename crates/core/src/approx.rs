@@ -10,14 +10,20 @@
 //! the projection builds its mask tables in the same eight-row blocks. A
 //! forward then makes one quantizer pass, one blocked projection and one
 //! blocked GEMV, eight outputs side by side with one accumulator each.
+//! Every entry point quantizes through the one
+//! [`ActivationQuantizer`] of the module's activation width; the column
+//! forward splits into that pass and a forward over already-quantized
+//! columns, which the CONV layer calls on a patch matrix it lowered from
+//! the quantized feature map.
 //! Every output keeps the accumulation order of quantizing, projecting
 //! and dequantizing as whole tensors, so it is bitwise that chain
 //! computed with a scalar row dot, in every build.
 
 use crate::projection::{TernaryProjection, BLOCK_ROWS};
 use duet_tensor::fixed::Int4Tensor;
+use duet_tensor::quantize::ActivationQuantizer;
 use duet_tensor::rng::Rng;
-use duet_tensor::{ops, parallel, quantize, Tensor};
+use duet_tensor::{ops, parallel, Tensor};
 
 /// Precision / size configuration of an approximate module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,9 +164,9 @@ impl ApproxLinear {
 
     /// [`ApproxLinear::forward`] into the caller's `out` (`[n]`), with
     /// `work` as the quantizer and projection scratch. `work` grows to
-    /// `d + k` on first use; after that a forward at 4-bit or ≥16-bit
-    /// activations allocates nothing, unless its GEMV is large enough to
-    /// fan out over threads (`ops::PAR_MIN_FLOPS`).
+    /// `d + k` on first use; after that a forward allocates nothing,
+    /// unless its GEMV is large enough to fan out over threads
+    /// (`ops::PAR_MIN_FLOPS`).
     ///
     /// # Panics
     ///
@@ -180,17 +186,12 @@ impl ApproxLinear {
         let (xq, projected) = work[..d + k].split_at_mut(d);
         // Step 1 (Quantizer): the INT16→INT4 truncation at the paper's
         // 4-bit activations, round-to-nearest at other narrow widths.
-        let xq: &[f32] = match self.config.activation_bits {
-            16.. => x,
-            4 => {
-                quantize::fake_quantize_int4_truncated_into(x, xq);
-                xq
-            }
-            bits => {
-                let t = Tensor::from_vec(x.to_vec(), &[d]);
-                xq.copy_from_slice(quantize::fake_quantize_bits(&t, bits).data());
-                xq
-            }
+        let quantizer = ActivationQuantizer::for_input(self.config.activation_bits, x);
+        let xq: &[f32] = if quantizer.is_exact() {
+            x
+        } else {
+            quantizer.fake_quantize_into(x, xq);
+            xq
         };
         // Step 2 (Alignment Units + Adder Trees): ternary projection.
         self.projection.project_into(xq, projected);
@@ -221,26 +222,38 @@ impl ApproxLinear {
 
     /// Forward for every column of a `[d, cols]` matrix; returns
     /// `[n, cols]`. Used by the CONV path where the im2col patch matrix
-    /// replaces the input vector. The GEMM accumulates each output as
-    /// `ops::matmul_naive` does (from +0.0 in ascending `j`, zero weights
-    /// skipped), and the bias is added after.
+    /// replaces the input vector. The matrix is quantized whole, at the
+    /// scale of its largest magnitude, then projected, multiplied and
+    /// biased by the same forward over already-quantized columns that
+    /// [`crate::DualConvLayer`] runs on the patch matrix it lowers from
+    /// the quantized feature map.
     ///
     /// # Panics
     ///
     /// Panics if `m` is not `[d, cols]`.
     pub fn forward_columns(&self, m: &Tensor) -> Tensor {
-        assert_eq!(m.shape().dim(0), self.input_dim(), "row count mismatch");
-        let projected = match self.config.activation_bits {
-            16.. => self.projection.project_columns(m),
-            4 => self
-                .projection
-                .project_columns(&quantize::fake_quantize_int4_truncated(m)),
-            bits => self
-                .projection
-                .project_columns(&quantize::fake_quantize_bits(m, bits)),
-        };
+        let quantizer = ActivationQuantizer::new(self.config.activation_bits, || m.max_abs());
+        if quantizer.is_exact() {
+            self.forward_quantized_columns(m)
+        } else {
+            self.forward_quantized_columns(&quantizer.fake_quantize_tensor(m))
+        }
+    }
+
+    /// Steps 2–4 of [`ApproxLinear::forward_columns`] over a `[d, cols]`
+    /// matrix whose entries already went through the activation
+    /// quantizer: the projection, the GEMM and the bias. The GEMM
+    /// accumulates each output as `ops::matmul_naive` does (from +0.0 in
+    /// ascending `j`, zero weights skipped), and the bias is added after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mq` is not `[d, cols]`.
+    pub(crate) fn forward_quantized_columns(&self, mq: &Tensor) -> Tensor {
+        assert_eq!(mq.shape().dim(0), self.input_dim(), "row count mismatch");
+        let projected = self.projection.project_columns(mq);
         let (n, k) = (self.output_dim(), self.projection.reduced_dim());
-        let cols = m.shape().dim(1);
+        let cols = mq.shape().dim(1);
         let mut y = Tensor::zeros(&[n, cols]);
         let pd = projected.data();
         for_each_block(y.data_mut(), cols, n * k * cols, |b, yblock| {

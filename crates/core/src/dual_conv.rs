@@ -6,6 +6,18 @@
 //! switching map is per output *element* (channel × position); after ReLU
 //! it doubles as the next layer's input-sparsity map (IMap) including the
 //! §III-C correction step.
+//!
+//! The speculator's patch matrix is built the way DUET's Quantizer sees
+//! its input: the `[C, H, W]` feature map is quantized once, as it would
+//! stream out of the global buffer (§III-B step 1), and the codes are
+//! lowered. That is bitwise quantizing the lowered copy at a fraction of
+//! the work (a 3×3 kernel repeats each pixel up to nine times): the
+//! quantizer is elementwise at one scale, the scale is the max over the
+//! pixels some patch reads ([`patch_max_abs`], the patch matrix's own
+//! max, since padding zeros cannot raise it), and the padding is the
+//! quantized +0.0, which is NaN when an infinite input makes the scale
+//! infinite, as it is in the quantized patch matrix. The executor reads
+//! the exact patch matrix.
 
 use crate::approx::ApproxLinear;
 use crate::dual_proj::DualProjection;
@@ -13,7 +25,8 @@ use crate::engine::{MacMode, SpeculationEngine};
 use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
-use duet_tensor::im2col::{im2col, ConvGeometry};
+use duet_tensor::im2col::{im2col, im2col_into, patch_max_abs, ConvGeometry};
+use duet_tensor::quantize::ActivationQuantizer;
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -178,9 +191,15 @@ impl DualConvLayer {
         // but only an IMap stops the PE from still issuing the MAC.
         let mut engine = SpeculationEngine::new();
         let cols = im2col(input, &self.geom);
-        let (mut output, mut omap) =
-            self.proj
-                .forward_columns(&mut engine, policy, &cols, imap.is_none(), guard);
+        let spec_cols = self.speculator_columns(input);
+        let (mut output, mut omap) = self.proj.forward_columns(
+            &mut engine,
+            policy,
+            &cols,
+            spec_cols.as_ref().unwrap_or(&cols),
+            imap.is_none(),
+            guard,
+        );
 
         // The workloads count the speculated map, before the correction.
         let channel_workloads = (0..k)
@@ -198,6 +217,28 @@ impl DualConvLayer {
             channel_workloads,
             report,
         }
+    }
+
+    /// The speculator's patch matrix, bitwise the activation quantizer
+    /// run over `im2col(input)` at that matrix's scale, built from the
+    /// feature map: its scale from the pixels some patch reads, each
+    /// pixel quantized once, the codes lowered with the padding set to the
+    /// quantized +0.0. `None` at 16-bit activations, where the speculator
+    /// reads the exact patch matrix.
+    fn speculator_columns(&self, input: &Tensor) -> Option<Tensor> {
+        let bits = self.proj.approx().config().activation_bits;
+        let quantizer = ActivationQuantizer::new(bits, || patch_max_abs(input, &self.geom));
+        if quantizer.is_exact() {
+            return None;
+        }
+        let mut spec = Tensor::zeros(&[self.geom.patch_len(), self.geom.out_positions()]);
+        im2col_into(
+            &quantizer.fake_quantize_tensor(input),
+            &self.geom,
+            quantizer.fake_quantize(0.0),
+            spec.data_mut(),
+        );
+        Some(spec)
     }
 }
 

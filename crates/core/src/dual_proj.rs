@@ -307,24 +307,34 @@ impl DualProjection {
     /// `cols` `[d, P]` (a CONV layer, §III-C): one speculator GEMM, one
     /// map over all `n · P` outputs (row-major `[n, P]`), and each
     /// sensitive element recomputed as its row dotted with its column by
-    /// [`SpeculationEngine::execute_columns_into`]. Zero inputs are
-    /// skipped (exact: their products are zero); `count_skipped` says
-    /// whether they still occupy issue slots, as they do unless an IMap
-    /// configures the PE tag bits (Fig. 6). Returns the mixed `[n, P]`
-    /// pre-activations and the map.
+    /// [`SpeculationEngine::execute_columns_into`]. The speculator reads
+    /// `spec_cols`: `cols` with every entry already through the
+    /// approximate module's activation quantizer at one scale (`cols`
+    /// itself at 16-bit activations); the executor reads `cols`. Zero
+    /// inputs are skipped (exact: their products are zero);
+    /// `count_skipped` says whether they still occupy issue slots, as
+    /// they do unless an IMap configures the PE tag bits (Fig. 6).
+    /// Returns the mixed `[n, P]` pre-activations and the map.
     ///
     /// # Panics
     ///
-    /// Panics if `cols` does not have `d` rows.
+    /// Panics if `cols` does not have `d` rows or `spec_cols` differs
+    /// from it in shape.
     pub fn forward_columns(
         &self,
         engine: &mut SpeculationEngine,
         policy: &SwitchingPolicy,
         cols: &Tensor,
+        spec_cols: &Tensor,
         count_skipped: bool,
         guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, SwitchingMap) {
-        let mut pre = self.approx.forward_columns(cols);
+        assert_eq!(
+            spec_cols.shape(),
+            cols.shape(),
+            "speculator matrix shape mismatch"
+        );
+        let mut pre = self.approx.forward_quantized_columns(spec_cols);
         let map = engine.speculate_guarded(policy, pre.data(), guard);
         engine.execute_columns_into(
             &map,

@@ -70,7 +70,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
 #[test]
 fn warm_approx_forward_into_allocates_nothing() {
     let mut r = seeded(31);
-    for activation_bits in [4, 16] {
+    for activation_bits in [4, 8, 16] {
         let config = ApproxConfig {
             activation_bits,
             ..ApproxConfig::paper_default(12)

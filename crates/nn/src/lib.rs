@@ -37,7 +37,6 @@
 
 pub mod activation;
 pub mod attention;
-pub mod batchnorm;
 pub mod conv;
 pub mod gru;
 pub mod init;
@@ -51,7 +50,6 @@ pub mod pruning;
 pub mod sequential;
 
 pub use activation::Activation;
-pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use gru::GruCell;
 pub use layer::{Layer, Param};

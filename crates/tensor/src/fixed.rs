@@ -6,7 +6,7 @@
 //! truncating the 12 LSBs of the INT16 representation and multiplying the
 //! scale by 2¹².
 
-use crate::quantize::{int16_code, int16_scale};
+use crate::quantize::{int16_code, int16_scale, narrow_code, narrow_grid, narrow_scale};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -146,25 +146,9 @@ pub struct Int4Tensor {
 
 impl Int4Tensor {
     /// Quantizes an `f32` tensor symmetrically so the maximum magnitude maps
-    /// to 7 (INT4 max).
+    /// to 7 (INT4 max): [`Int4Tensor::quantize_with_bits`] at 4 bits.
     pub fn quantize(t: &Tensor) -> Self {
-        let max_abs = t.max_abs();
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / INT4_MAX as f32
-        };
-        let data = t
-            .data()
-            .iter()
-            .map(|&x| (x / scale).round().clamp(INT4_MIN as f32, INT4_MAX as f32) as i8)
-            .collect();
-        Self {
-            data,
-            scale,
-            shape: t.shape().clone(),
-            bits: 4,
-        }
+        Self::quantize_with_bits(t, 4)
     }
 
     /// Quantizes to an arbitrary bit width `bits` ∈ [2, 8] (used by the
@@ -176,22 +160,12 @@ impl Int4Tensor {
     ///
     /// Panics if `bits` is outside [2, 8].
     pub fn quantize_with_bits(t: &Tensor, bits: u32) -> Self {
-        assert!(
-            (2..=8).contains(&bits),
-            "bits must be in [2, 8], got {bits}"
-        );
-        let qmax = (1i32 << (bits - 1)) - 1;
-        let qmin = -(1i32 << (bits - 1));
-        let max_abs = t.max_abs();
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / qmax as f32
-        };
+        let grid = narrow_grid(bits);
+        let scale = narrow_scale(t.max_abs(), grid.1);
         let data = t
             .data()
             .iter()
-            .map(|&x| (x / scale).round().clamp(qmin as f32, qmax as f32) as i8)
+            .map(|&x| narrow_code(x, scale, grid))
             .collect();
         Self {
             data,
@@ -222,14 +196,10 @@ impl Int4Tensor {
     /// shape, or any value is outside the symmetric two's-complement range
     /// of `bits`.
     pub fn from_raw_with_bits(data: Vec<i8>, scale: f32, dims: &[usize], bits: u32) -> Self {
-        assert!(
-            (2..=8).contains(&bits),
-            "bits must be in [2, 8], got {bits}"
-        );
+        let (qmin, qmax) = narrow_grid(bits);
+        let (qmin, qmax) = (qmin as i8, qmax as i8);
         let shape = Shape::new(dims);
         assert_eq!(data.len(), shape.len(), "raw data length mismatch");
-        let qmax = ((1i32 << (bits - 1)) - 1) as i8;
-        let qmin = (-(1i32 << (bits - 1))) as i8;
         assert!(
             data.iter().all(|&x| (qmin..=qmax).contains(&x)),
             "int{bits} value out of [{qmin},{qmax}] range"

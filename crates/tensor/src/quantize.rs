@@ -3,10 +3,22 @@
 //! The heavy lifting lives on [`Fixed16Tensor`] and
 //! [`Int4Tensor`]; this module adds the error metrics and
 //! fake-quantization ("quantize-dequantize") utilities the evaluation
-//! harness uses to study precision trade-offs (Fig. 13(b)).
+//! harness uses to study precision trade-offs (Fig. 13(b)), and
+//! [`ActivationQuantizer`], the Speculator's input quantizer.
+//!
+//! Each width's quantizer is two parts: a scale, taken from the largest
+//! magnitude it must cover, and a per-element map at that scale. The
+//! maps are written once, here: the INT16 code behind
+//! `Fixed16Tensor::quantize` and the 16→4 truncation, and the
+//! round-to-nearest code behind `Int4Tensor::quantize_with_bits`. Because
+//! a map is elementwise at one scale, quantizing a CONV feature map and
+//! lowering the codes, with the padding set to the quantized +0.0, is
+//! bitwise quantizing its im2col patch matrix, provided the scale is the
+//! max over the pixels some patch reads
+//! ([`crate::im2col::patch_max_abs`]).
 
 use crate::fixed::{Fixed16Tensor, Int4Tensor, TRUNC_BITS, TRUNC_SCALE};
-use crate::tensor::Tensor;
+use crate::tensor::{max_abs, Tensor};
 
 /// The INT16 scale that maps `max_abs` to `i16::MAX`; an all-zero input
 /// gets scale 1.0.
@@ -56,31 +68,154 @@ pub fn fake_quantize_int16(t: &Tensor) -> Tensor {
     Fixed16Tensor::quantize(t).dequantize()
 }
 
-/// Quantizes to the Speculator's INT4 (via the hardware 16→4 truncation
-/// path) and dequantizes.
-pub fn fake_quantize_int4_truncated(t: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(t.shape().dims());
-    fake_quantize_int4_truncated_into(t.data(), out.data_mut());
-    out
-}
-
-/// [`fake_quantize_int4_truncated`] over a slice, writing into `out`: one
-/// max-magnitude scan, then one pass that quantizes each element to INT16,
-/// keeps its four MSBs and dequantizes at the grown scale. Bitwise equal
-/// to `Fixed16Tensor::quantize(t).truncate_to_int4().dequantize()`
-/// without its three intermediate tensors.
+/// The grid of a `bits`-wide two's-complement integer, `(qmin, qmax)`.
 ///
 /// # Panics
 ///
-/// Panics if `x` and `out` differ in length.
-pub fn fake_quantize_int4_truncated_into(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len(), "quantizer output length mismatch");
-    let scale = int16_scale(crate::tensor::max_abs(x));
-    let scale4 = scale * TRUNC_SCALE;
-    for (o, &v) in out.iter_mut().zip(x) {
-        // arithmetic shift keeps the sign, as in `truncate_to_int4`
-        *o = (int16_code(v, scale) >> TRUNC_BITS) as f32 * scale4;
+/// Panics if `bits` is outside [2, 8].
+pub(crate) fn narrow_grid(bits: u32) -> (i32, i32) {
+    assert!(
+        (2..=8).contains(&bits),
+        "bits must be in [2, 8], got {bits}"
+    );
+    (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+}
+
+/// The scale that maps `max_abs` to `qmax`; an all-zero input gets scale
+/// 1.0.
+pub(crate) fn narrow_scale(max_abs: f32, qmax: i32) -> f32 {
+    if max_abs == 0.0 {
+        1.0
+    } else {
+        max_abs / qmax as f32
     }
+}
+
+/// One element's code on the grid `(qmin, qmax)` at `scale`: round to
+/// nearest (ties away from zero), then clamp; NaN → 0.
+#[inline]
+pub(crate) fn narrow_code(x: f32, scale: f32, (qmin, qmax): (i32, i32)) -> i8 {
+    (x / scale).round().clamp(qmin as f32, qmax as f32) as i8
+}
+
+/// One element through the §III-B truncation at the INT16 `scale`: its
+/// INT16 code's four MSBs (the arithmetic shift keeps the sign),
+/// dequantized at `scale · 2¹²`.
+#[inline]
+fn int4_truncated(x: f32, scale: f32) -> f32 {
+    (int16_code(x, scale) >> TRUNC_BITS) as f32 * (scale * TRUNC_SCALE)
+}
+
+/// The Speculator's activation quantizer (§III-B step 1) at one width and
+/// one scale: quantize, then dequantize, one element at a time. Build it
+/// with [`ActivationQuantizer::new`], which takes the scale from the
+/// largest magnitude the input holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ActivationQuantizer {
+    /// 16 bits and wider: the Executor's own precision, passed through.
+    Exact,
+    /// 4 bits, the paper's: the INT16 code at `scale`, truncated to its
+    /// four MSBs and dequantized at `scale · 2¹²` — bitwise
+    /// `Fixed16Tensor::quantize(t).truncate_to_int4().dequantize()`.
+    Int4Truncated {
+        /// The INT16 scale.
+        scale: f32,
+    },
+    /// Other widths in [2, 8]: round to nearest on the `bits`-wide grid at
+    /// `scale` — bitwise `Int4Tensor::quantize_with_bits(t, bits)
+    /// .dequantize()`.
+    Rounded {
+        /// The grid's width.
+        bits: u32,
+        /// The grid's scale.
+        scale: f32,
+    },
+}
+
+impl ActivationQuantizer {
+    /// The quantizer of `bits`-wide activations whose scale covers
+    /// `max_abs()`, the largest magnitude of the input (NaN ignored, 0.0
+    /// for none). `max_abs` is not called at 16 bits and wider.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is below 16 and outside [2, 8].
+    pub fn new(bits: u32, max_abs: impl FnOnce() -> f32) -> Self {
+        match bits {
+            16.. => Self::Exact,
+            4 => Self::Int4Truncated {
+                scale: int16_scale(max_abs()),
+            },
+            bits => Self::Rounded {
+                bits,
+                scale: narrow_scale(max_abs(), narrow_grid(bits).1),
+            },
+        }
+    }
+
+    /// [`ActivationQuantizer::new`] with the scale taken over all of `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is below 16 and outside [2, 8].
+    pub fn for_input(bits: u32, x: &[f32]) -> Self {
+        Self::new(bits, || max_abs(x))
+    }
+
+    /// Whether values pass through unchanged (16 bits and wider).
+    pub fn is_exact(&self) -> bool {
+        matches!(self, Self::Exact)
+    }
+
+    /// One element, quantized and dequantized.
+    pub fn fake_quantize(&self, x: f32) -> f32 {
+        match *self {
+            Self::Exact => x,
+            Self::Int4Truncated { scale } => int4_truncated(x, scale),
+            Self::Rounded { bits, scale } => {
+                narrow_code(x, scale, narrow_grid(bits)) as f32 * scale
+            }
+        }
+    }
+
+    /// [`ActivationQuantizer::fake_quantize`] over `x`, into `out`: one
+    /// pass, the width chosen once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` and `out` differ in length.
+    pub fn fake_quantize_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), out.len(), "quantizer output length mismatch");
+        match *self {
+            Self::Exact => out.copy_from_slice(x),
+            Self::Int4Truncated { scale } => {
+                for (o, &v) in out.iter_mut().zip(x) {
+                    *o = int4_truncated(v, scale);
+                }
+            }
+            Self::Rounded { bits, scale } => {
+                let grid = narrow_grid(bits);
+                for (o, &v) in out.iter_mut().zip(x) {
+                    *o = narrow_code(v, scale, grid) as f32 * scale;
+                }
+            }
+        }
+    }
+
+    /// [`ActivationQuantizer::fake_quantize`] over every element of `t`.
+    pub fn fake_quantize_tensor(&self, t: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(t.shape().dims());
+        self.fake_quantize_into(t.data(), out.data_mut());
+        out
+    }
+}
+
+/// Quantizes to the Speculator's INT4 (via the hardware 16→4 truncation
+/// path) and dequantizes: one max-magnitude scan, then one pass. Bitwise
+/// equal to `Fixed16Tensor::quantize(t).truncate_to_int4().dequantize()`
+/// without its three intermediate tensors.
+pub fn fake_quantize_int4_truncated(t: &Tensor) -> Tensor {
+    ActivationQuantizer::new(4, || t.max_abs()).fake_quantize_tensor(t)
 }
 
 /// Quantizes to a `bits`-wide integer grid (round-to-nearest) and
@@ -228,6 +363,49 @@ mod tests {
             .chain(ks.map(|k| (k as f32 + 0.5) * step))
             .collect();
         assert_fused_is_chain(v, "half-steps");
+    }
+
+    #[test]
+    fn activation_quantizer_is_bitwise_each_widths_tensor_chain() {
+        let mut r = crate::rng::seeded(8);
+        let specials = [
+            f32::NAN,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+        ];
+        for scale in [0.0f32, 1e-6, 0.3, 300.0] {
+            let mut t = crate::rng::normal(&mut r, &[41], 0.0, scale);
+            for (v, &s) in t.data_mut().iter_mut().step_by(9).zip(&specials) {
+                *v = s;
+            }
+            for x in [t.clone(), crate::rng::normal(&mut r, &[41], 0.0, scale)] {
+                for bits in [2u32, 3, 4, 5, 8, 16, 32] {
+                    let want = match bits {
+                        16.. => x.clone(),
+                        4 => Fixed16Tensor::quantize(&x).truncate_to_int4().dequantize(),
+                        _ => Int4Tensor::quantize_with_bits(&x, bits).dequantize(),
+                    };
+                    let q = ActivationQuantizer::for_input(bits, x.data());
+                    assert_eq!(q.is_exact(), bits >= 16);
+                    let bits_of = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let got = q.fake_quantize_tensor(&x);
+                    assert_eq!(bits_of(got.data()), bits_of(want.data()), "a{bits}");
+                    let one: Vec<f32> = x.data().iter().map(|&v| q.fake_quantize(v)).collect();
+                    assert_eq!(bits_of(&one), bits_of(want.data()), "a{bits} per element");
+                }
+            }
+        }
+        // ±∞ makes the scale infinite, and the quantized +0.0 NaN.
+        let q = ActivationQuantizer::for_input(4, &[1.0, f32::NEG_INFINITY]);
+        assert!(q.fake_quantize(0.0).is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "bits must be in [2, 8], got 12")]
+    fn activation_quantizer_rejects_widths_between_8_and_16() {
+        ActivationQuantizer::new(12, || 1.0);
     }
 
     #[test]

@@ -11,7 +11,11 @@
 #     differ, in the change's favour, by more than the parent's
 #     interquartile range (IQR);
 #   - regression: the change's median is worse than the parent's by more
-#     than the metric's `bound`, a fraction of the parent's median.
+#     than the metric's `bound`, a fraction of the parent's median;
+#   - spread: "unresolved" when the parent's IQR alone exceeds that bound
+#     (bound × |parent median|): the runs then spread too widely for a
+#     regression of the bound's size to be told from noise, whichever
+#     way the medians fall; "ok" otherwise.
 #
 # Odd pairs run the parent first, even pairs the change first. A run that
 # exits non-zero (a failed request or output check) stops the script.
@@ -96,7 +100,7 @@ quartiles() {
         END { if (NR) printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
-printf '\n%-22s %-36s %-36s %-6s %-5s %s\n' metric "parent q1/median/q3" "change q1/median/q3" won gain regression
+printf '\n%-22s %-36s %-36s %-6s %-5s %-10s %s\n' metric "parent q1/median/q3" "change q1/median/q3" won gain regression spread
 while read -r name better bound; do
     pq=$(awk -v m="$name" '$1 == "parent" && $3 == m { print $4 }' <<<"$records" | quartiles)
     cq=$(awk -v m="$name" '$1 == "change" && $3 == m { print $4 }' <<<"$records" | quartiles)
@@ -116,7 +120,8 @@ while read -r name better bound; do
             worse = -gap
             base = P[2] < 0 ? -P[2] : P[2]
             regression = worse > bound * base ? "yes" : "no"
-            printf "%-22s %-36s %-36s %2d/%-3d %-5s %s\n", m, P[1] " / " P[2] " / " P[3],
-                C[1] " / " C[2] " / " C[3], won, pairs, gain, regression
+            spread = P[3] - P[1] > bound * base ? "unresolved" : "ok"
+            printf "%-22s %-36s %-36s %2d/%-3d %-5s %-10s %s\n", m, P[1] " / " P[2] " / " P[3],
+                C[1] " / " C[2] " / " C[3], won, pairs, gain, regression, spread
         }' <<<"$records"
 done <<<"$metrics"

@@ -46,6 +46,13 @@ echo "== cargo build + test (--features simd) =="
 cargo build --workspace --release --offline --features duet-tensor/simd
 cargo test -q --workspace --offline --features duet-tensor/simd
 
+echo "== fig10 reproduces (simd build) =="
+# The conv/MLP/RNN quality exhibit is deterministic, and the committed
+# table comes from the simd build left in target/release above (a
+# default build differs in the last LSTM digits): it must print byte for
+# byte what results/ holds.
+./target/release/fig10_quality_tradeoff | cmp - results/fig10_quality_tradeoff.txt
+
 echo "== telemetry smoke (sim_bench --smoke under DUET_TRACE) =="
 # End-to-end telemetry check: a reduced sweep with metrics + tracing on
 # must produce a parseable, balanced Chrome trace (trace_check uses the
@@ -114,13 +121,16 @@ echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4
 thread_invariant results/BENCH_control_smoke.json -- ./target/release/control_bench --smoke
 rm -f results/BENCH_control_smoke.json
 
-echo "== dual transformer + speculator (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
+echo "== dual transformer + speculator + conv (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
 # The dual-attention refactor's contract: θ = −∞ is bitwise the dense
 # model for every piece (DualProjection, DualAttention, DualFfn, the
 # whole block, and the re-backed DualModuleLayer), at any engine pool
 # width. The speculator's contract: its blocked projection and GEMV are
 # bitwise the whole-tensor chain, including the module large enough for
 # the GEMV to stripe its eight-row blocks over the pool, at any width.
+# The conv layer's contract: quantizing the feature map and lowering the
+# codes is bitwise quantizing the patch matrix, including the layer large
+# enough for the speculator's column GEMM to stripe, at any width.
 # The smoke exhibit then runs the distilled transformer LM end to end —
 # it asserts the bitwise pin and the MAC-savings invariant in-binary —
 # and its artifact must be byte-identical at 1/4/7 threads. Smoke
@@ -128,6 +138,7 @@ echo "== dual transformer + speculator (equivalence at 1/4/7 threads + transform
 for t in 1 4 7; do
     DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test transformer_equivalence
     DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test speculator_equivalence
+    DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test conv_equivalence
 done
 thread_invariant results/BENCH_transformer_smoke.json -- ./target/release/transformer_bench --smoke
 rm -f results/BENCH_transformer_smoke.json
