@@ -62,7 +62,6 @@ pub mod distill;
 pub mod dual_attention;
 pub mod dual_conv;
 pub mod dual_layer;
-pub mod dual_net;
 pub mod dual_proj;
 pub mod dual_rnn;
 pub mod engine;

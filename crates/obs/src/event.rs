@@ -6,7 +6,7 @@
 //! ([`crate::recorder_enabled`]) every hop of the serving pipeline
 //! (enqueue, admit, batch-seal, execute, guard transition, respond) drops
 //! one request [`Event`], which [`to_jsonl`] exports; while tracing is on
-//! every [`crate::span`] adds a [`EventKind::SpanBegin`] /
+//! every [`crate::span()`] adds a [`EventKind::SpanBegin`] /
 //! [`EventKind::SpanEnd`] pair, which [`crate::trace::chrome_trace_json`]
 //! exports. The write path is cheap enough to leave on in production —
 //! one relaxed `fetch_add` to claim a slot plus one uncontended per-slot

@@ -6,8 +6,8 @@ use crate::trainer::CharLm;
 use duet_core::dual_rnn::{DualGruCell, DualLstmCell, RnnThresholds};
 use duet_core::{DualConvLayer, DualModuleLayer, SavingsReport, SwitchingPolicy};
 use duet_nn::lstm::LstmState;
-use duet_nn::{loss, Activation, Sequential};
-use duet_tensor::im2col::{im2col, ConvGeometry};
+use duet_nn::{loss, Activation, Conv2d, Sequential};
+use duet_tensor::im2col::im2col;
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -71,11 +71,6 @@ impl DualMlp {
         }
     }
 
-    /// The dualized hidden layers.
-    pub fn hidden_layers(&self) -> &[DualModuleLayer] {
-        &self.hidden
-    }
-
     /// Mutable access to the dualized hidden layers — lets fault-injection
     /// harnesses corrupt or replace speculator state in place.
     pub fn hidden_layers_mut(&mut self) -> &mut [DualModuleLayer] {
@@ -112,24 +107,30 @@ impl DualMlp {
     }
 }
 
-/// A dual-module CNN classifier: the conv layer runs dual-module, pooling
-/// and the classifier head stay dense.
+/// The max-pool window between the last conv and the classifier head.
+const POOL: usize = 2;
+
+/// A dual-module CNN classifier: every conv layer runs dual-module, each
+/// one's corrected OMap serving as the next one's IMap (§III-C); the max
+/// pool after the last conv and the classifier head stay dense.
 #[derive(Debug, Clone)]
 pub struct DualCnn {
-    conv: DualConvLayer,
-    pool: usize,
+    convs: Vec<DualConvLayer>,
     head_w: Tensor,
     head_b: Tensor,
 }
 
 impl DualCnn {
-    /// Builds from a trained `conv → ReLU → pool → flatten → linear`
-    /// [`Sequential`], distilling the conv's approximate module from real
-    /// im2col patches of the calibration images.
+    /// Builds from a trained `(conv → ReLU)+ → pool → flatten → linear`
+    /// [`Sequential`], distilling each conv's approximate module from real
+    /// im2col patches of that conv's calibration inputs: the calibration
+    /// images for the first conv, the dense feature maps of the convs
+    /// before it for each later one.
     ///
     /// # Panics
     ///
-    /// Panics if the network shape is not conv + linear.
+    /// Panics if the network has no conv layer or other than one linear
+    /// head.
     pub fn from_sequential(
         net: &Sequential,
         calibration: &Classification,
@@ -138,64 +139,46 @@ impl DualCnn {
     ) -> Self {
         let convs = net.conv_layers();
         let linears = net.linear_layers();
-        assert_eq!(convs.len(), 1, "expected exactly one conv layer");
+        assert!(!convs.is_empty(), "expected at least one conv layer");
         assert_eq!(linears.len(), 1, "expected exactly one linear head");
-        let conv = convs[0];
-        let geom = *conv.geometry();
 
-        // Gather real patch columns as calibration activations.
-        let dims = calibration.inputs.shape().dims().to_vec();
-        let (c, s) = (dims[1], dims[2]);
-        let img = c * s * s;
-        let n_img = calibration.len().min(8);
-        let mut patches: Vec<f32> = Vec::new();
-        let mut count = 0usize;
-        for i in 0..n_img {
-            let sample = Tensor::from_vec(
-                calibration.inputs.data()[i * img..(i + 1) * img].to_vec(),
-                &[c, s, s],
-            );
-            let cols = im2col(&sample, &geom); // [patch, positions]
-            let positions = cols.shape().dim(1);
-            for p in (0..positions).step_by(3) {
-                for row in 0..geom.patch_len() {
-                    patches.push(cols.at(&[row, p]));
-                }
-                count += 1;
+        let dims = calibration.inputs.shape().dims();
+        let img: usize = dims[1..].iter().product();
+        let mut inputs: Vec<Tensor> = calibration.inputs.data()[..calibration.len().min(8) * img]
+            .chunks_exact(img)
+            .map(|x| Tensor::from_vec(x.to_vec(), &dims[1..]))
+            .collect();
+        let mut duals: Vec<DualConvLayer> = Vec::with_capacity(convs.len());
+        for conv in convs {
+            if let Some(prev) = duals.last() {
+                inputs = inputs.iter().map(|x| prev.forward_dense(x)).collect();
             }
+            duals.push(distill_conv(conv, &inputs, reduced_ratio, r));
         }
-        let acts = Tensor::from_vec(patches, &[count, geom.patch_len()]);
-
-        let k = ((geom.patch_len() as f64 * reduced_ratio) as usize).clamp(4, geom.patch_len());
-        let fmat = conv.weight_matrix().clone();
-        let approx = duet_core::distill::distill_linear_from_activations(
-            &fmat,
-            conv.bias(),
-            duet_core::ApproxConfig::paper_default(k),
-            &acts,
-            r,
-        );
-
         Self {
-            conv: DualConvLayer::new(geom, fmat, conv.bias().clone(), approx),
-            pool: 2,
+            convs: duals,
             head_w: linears[0].weight().clone(),
             head_b: linears[0].bias().clone(),
         }
     }
 
-    /// Forward pass for one `[C, H, W]` image at threshold θ.
+    /// Forward pass for one `[C, H, W]` image at threshold θ; the report
+    /// sums the conv layers'.
     pub fn forward(&self, image: &Tensor, theta: f32) -> (Tensor, SavingsReport) {
-        let out = self
-            .conv
-            .forward(image, &SwitchingPolicy::relu(theta), None);
+        let policy = SwitchingPolicy::relu(theta);
+        let mut out = self.convs[0].forward(image, &policy, None);
+        let mut report = out.report;
+        for conv in &self.convs[1..] {
+            out = conv.forward(&out.output, &policy, Some(&out.omap));
+            report += out.report;
+        }
         // max pool
         let (kk, oh, ow) = (
             out.output.shape().dim(0),
             out.output.shape().dim(1),
             out.output.shape().dim(2),
         );
-        let (ph, pw) = (oh / self.pool, ow / self.pool);
+        let (ph, pw) = (oh / POOL, ow / POOL);
         let mut pooled = Tensor::zeros(&[kk * ph * pw]);
         let (od, pd) = (out.output.data(), pooled.data_mut());
         for ch in 0..kk {
@@ -203,9 +186,9 @@ impl DualCnn {
             for y in 0..ph {
                 for x in 0..pw {
                     let mut best = f32::NEG_INFINITY;
-                    for dy in 0..self.pool {
-                        let row = (y * self.pool + dy) * ow + x * self.pool;
-                        for &v in &plane[row..row + self.pool] {
+                    for dy in 0..POOL {
+                        let row = (y * POOL + dy) * ow + x * POOL;
+                        for &v in &plane[row..row + POOL] {
                             best = best.max(v);
                         }
                     }
@@ -214,7 +197,7 @@ impl DualCnn {
             }
         }
         let logits = ops::affine(&self.head_w, &pooled, &self.head_b);
-        (logits, out.report)
+        (logits, report)
     }
 
     /// Accuracy and savings over a dataset at threshold θ.
@@ -237,16 +220,49 @@ impl DualCnn {
         (correct as f64 / data.len() as f64, report)
     }
 
-    /// The conv geometry (useful for trace building).
-    pub fn geometry(&self) -> &ConvGeometry {
-        self.conv.geometry()
+    /// The first dual-module conv layer (for direct access to switching
+    /// maps and the approximate module).
+    pub fn conv_layer(&self) -> &DualConvLayer {
+        &self.convs[0]
     }
 
-    /// The dual-module conv layer (for direct access to switching maps
-    /// and the approximate module).
-    pub fn conv_layer(&self) -> &DualConvLayer {
-        &self.conv
+    /// Every dual-module conv layer, in forward order.
+    pub fn conv_layers(&self) -> &[DualConvLayer] {
+        &self.convs
     }
+}
+
+/// Distills the dual form of a trained conv from every third im2col
+/// patch column of its calibration inputs.
+fn distill_conv(
+    conv: &Conv2d,
+    inputs: &[Tensor],
+    reduced_ratio: f64,
+    r: &mut Rng,
+) -> DualConvLayer {
+    let geom = *conv.geometry();
+    let d = geom.patch_len();
+    let mut patches: Vec<f32> = Vec::new();
+    for x in inputs {
+        let cols = im2col(x, &geom); // [patch, positions]
+        let positions = cols.shape().dim(1);
+        for p in (0..positions).step_by(3) {
+            patches.extend((0..d).map(|row| cols.data()[row * positions + p]));
+        }
+    }
+    let rows = patches.len() / d;
+    let acts = Tensor::from_vec(patches, &[rows, d]);
+
+    let k = ((d as f64 * reduced_ratio) as usize).clamp(4, d);
+    let fmat = conv.weight_matrix().clone();
+    let approx = duet_core::distill::distill_linear_from_activations(
+        &fmat,
+        conv.bias(),
+        duet_core::ApproxConfig::paper_default(k),
+        &acts,
+        r,
+    );
+    DualConvLayer::new(geom, fmat, conv.bias().clone(), approx)
 }
 
 /// Which dual recurrent cell a [`DualCharLm`] wraps.
@@ -378,18 +394,6 @@ impl DualCharLm {
             &[emb],
         )
     }
-}
-
-/// Generates calibration inputs by sampling rows of a dataset with
-/// replacement (a quick bootstrap for distillation).
-pub fn bootstrap_rows(data: &Classification, n: usize, r: &mut Rng) -> Tensor {
-    let d = data.inputs.shape().dim(1);
-    let mut out = Tensor::zeros(&[n, d]);
-    for i in 0..n {
-        let j = r.random_range(0..data.len());
-        out.row_mut(i).copy_from_slice(data.inputs.row(j));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ fn main() {
     );
 
     // 4. Drive the cycle-level simulator with a real OMap.
-    let g = *dual.geometry();
+    let g = *dual.conv_layer().geometry();
     // Re-run the conv over a batch of test images and stack the measured
     // OMaps along the channel dimension — the accelerator "sequentially
     // processes batches of ifmap" (§IV-A), so a batch of B images fills

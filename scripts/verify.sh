@@ -190,6 +190,11 @@ cargo test -q -p duet-workloads --offline every_single_byte_corruption_is_reject
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== cargo doc (-D warnings) =="
+# Every intra-doc link must resolve, so a deleted or renamed item cannot
+# leave a dangling reference behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # and the feature-gated SIMD intrinsics

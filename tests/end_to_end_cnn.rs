@@ -33,7 +33,7 @@ fn trained_cnn_to_simulator_pipeline() {
     assert!(report.mac_skip_fraction() > 0.1, "no MACs skipped");
 
     // Build a trace from a real measured OMap and simulate.
-    let g = *dual.geometry();
+    let g = *dual.conv_layer().geometry();
     let img = Tensor::from_vec(
         test.inputs.data()[..g.in_channels * g.in_h * g.in_w].to_vec(),
         &[g.in_channels, g.in_h, g.in_w],
