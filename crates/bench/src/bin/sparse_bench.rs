@@ -10,18 +10,14 @@
 //!    indices into the same checksum — the determinism witness that the
 //!    fast path visits exactly the same set. The headline number: at
 //!    ≥ 90 % insensitive, word iteration must be ≥ 4× bit iteration.
-//! 2. **GEMM throughput** — scalar blocked kernel versus the `simd`
-//!    feature's FMA micro-kernel (GFLOP/s, single thread), toggled at
-//!    runtime via `DUET_SIMD=0` so both lanes run in one process. Output
-//!    checksums for each lane witness run-to-run determinism; the two
-//!    lanes agree only to ULPs (FMA fuses the rounding), which is why the
-//!    scalar kernel stays the default bitwise-stable path.
+//! 2. **GEMM throughput** — the blocked kernel's GFLOP/s on one thread.
+//!    Each size's output checksum pins the kernel's bits through
+//!    `bench_check`, so a change to its accumulation order fails the gate.
 //!
-//! Run with: `cargo run --release -p duet-bench --features simd --bin
-//! sparse_bench` (`--smoke` shrinks sizes for a seconds-scale CI run and
-//! writes `results/BENCH_sparse_smoke.json` so CI never clobbers the
-//! committed artifact; without `--features simd` the GEMM SIMD lane is
-//! recorded as unavailable).
+//! Run with: `cargo run --release -p duet-bench --bin sparse_bench`
+//! (`--smoke` shrinks sizes for a seconds-scale CI run and writes
+//! `results/BENCH_sparse_smoke.json` so CI never clobbers the committed
+//! artifact).
 
 use duet_bench::timing::bench;
 use duet_core::SwitchingMap;
@@ -113,79 +109,33 @@ fn output_checksum(t: &duet_tensor::Tensor) -> u64 {
         .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v.to_bits()))
 }
 
-#[cfg(feature = "simd")]
-fn simd_compiled() -> bool {
-    true
-}
-#[cfg(not(feature = "simd"))]
-fn simd_compiled() -> bool {
-    false
-}
-
-#[cfg(feature = "simd")]
-fn simd_cpu_supported() -> bool {
-    duet_tensor::simd::cpu_supported()
-}
-#[cfg(not(feature = "simd"))]
-fn simd_cpu_supported() -> bool {
-    false
-}
-
 struct GemmRow {
     m: usize,
     k: usize,
     n: usize,
     scalar_gflops: f64,
     scalar_checksum: u64,
-    simd: Option<(f64, u64)>,
 }
 
 fn gemm_throughput(sizes: &[(usize, usize, usize)]) -> Vec<GemmRow> {
-    let simd_lane = simd_compiled() && simd_cpu_supported();
     let mut rows = Vec::new();
     let mut r = seeded(601);
     for &(m, k, n) in sizes {
         let a = rng::normal(&mut r, &[m, k], 0.0, 1.0);
         let b = rng::normal(&mut r, &[k, n], 0.0, 1.0);
         let flops = 2 * (m * k * n) as u64;
-
-        // Scalar lane: force the bitwise-stable path even when the SIMD
-        // feature is compiled in (the dispatch re-reads DUET_SIMD per
-        // kernel call).
-        std::env::set_var("DUET_SIMD", "0");
         let scalar_out = ops::matmul_with_threads(&a, &b, 1);
         let scalar = bench(&format!("gemm scalar {m}x{k}x{n}"), || {
             ops::matmul_with_threads(black_box(&a), black_box(&b), 1)
         });
-        std::env::remove_var("DUET_SIMD");
-
-        let simd = if simd_lane {
-            let simd_out = ops::matmul_with_threads(&a, &b, 1);
-            let meas = bench(&format!("gemm simd   {m}x{k}x{n}"), || {
-                ops::matmul_with_threads(black_box(&a), black_box(&b), 1)
-            });
-            Some((meas.gflops(flops), output_checksum(&simd_out)))
-        } else {
-            None
-        };
-
         let scalar_gflops = scalar.gflops(flops);
-        match simd {
-            Some((g, _)) => println!(
-                "gemm {m}x{k}x{n}: scalar {scalar_gflops:.2} GFLOP/s  simd {g:.2} GFLOP/s  ({:.2}x)",
-                g / scalar_gflops
-            ),
-            None => println!(
-                "gemm {m}x{k}x{n}: scalar {scalar_gflops:.2} GFLOP/s  (simd lane unavailable)"
-            ),
-        }
+        println!("gemm {m}x{k}x{n}: scalar {scalar_gflops:.2} GFLOP/s");
         rows.push(GemmRow {
             m,
             k,
             n,
             scalar_gflops,
             scalar_checksum: output_checksum(&scalar_out),
-            simd,
         });
     }
     rows
@@ -202,11 +152,6 @@ fn main() {
     if smoke {
         println!("sparse_bench: --smoke (reduced sizes)");
     }
-    println!(
-        "sparse_bench: simd compiled: {}, cpu supported: {}",
-        simd_compiled(),
-        simd_cpu_supported()
-    );
 
     let skip = skip_throughput(map_lens);
     for row in &skip {
@@ -266,12 +211,6 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"gemm\": {{");
-    let _ = writeln!(json, "    \"simd_compiled\": {},", simd_compiled());
-    let _ = writeln!(
-        json,
-        "    \"simd_cpu_supported\": {},",
-        simd_cpu_supported()
-    );
     let _ = writeln!(json, "    \"threads\": 1,");
     let _ = writeln!(json, "    \"sizes\": [");
     for (i, row) in gemm.iter().enumerate() {
@@ -284,25 +223,9 @@ fn main() {
         let _ = writeln!(json, "        \"scalar_gflops\": {:.3},", row.scalar_gflops);
         let _ = writeln!(
             json,
-            "        \"scalar_checksum\": \"{:#018x}\",",
+            "        \"scalar_checksum\": \"{:#018x}\"",
             row.scalar_checksum
         );
-        match row.simd {
-            Some((g, sum)) => {
-                let _ = writeln!(json, "        \"simd_gflops\": {g:.3},");
-                let _ = writeln!(json, "        \"simd_checksum\": \"{sum:#018x}\",");
-                let _ = writeln!(
-                    json,
-                    "        \"simd_speedup\": {:.3}",
-                    g / row.scalar_gflops
-                );
-            }
-            None => {
-                let _ = writeln!(json, "        \"simd_gflops\": null,");
-                let _ = writeln!(json, "        \"simd_checksum\": null,");
-                let _ = writeln!(json, "        \"simd_speedup\": null");
-            }
-        }
         let _ = writeln!(
             json,
             "      }}{}",

@@ -79,18 +79,6 @@ impl Suite {
             other => panic!("unknown design {other}"),
         }
     }
-
-    /// Geometric-mean speedup of `features` over BASE across the CNN zoo.
-    pub fn cnn_geomean_speedup(&self, features: ExecutorFeatures) -> f64 {
-        let speedups: Vec<f64> = ModelZoo::cnns()
-            .into_iter()
-            .map(|m| {
-                let base = self.run_cnn(m, ExecutorFeatures::base());
-                self.run_cnn(m, features).speedup_over(&base)
-            })
-            .collect();
-        duet_tensor::stats::geometric_mean(&speedups)
-    }
 }
 
 impl Default for Suite {

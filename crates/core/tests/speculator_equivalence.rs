@@ -11,17 +11,16 @@
 //!    adding on +1 and subtracting on −1, then the scale;
 //! 3. `weights().dequantize()` times the projection, each row folding
 //!    its products from −0.0 in ascending order (what `ops::gemv`
-//!    computes in the default build; `ops::matmul` for columns, which is
-//!    `ops::matmul_naive` at the sizes swept here);
+//!    computes; `ops::matmul` for columns, which is `ops::matmul_naive`
+//!    at the sizes swept here);
 //! 4. the bias added to each output.
 //!
-//! Any change to accumulation order shows here, and the vector form's
-//! bits are the same in the default build and under
-//! `--features duet-tensor/simd`. The sweep covers block edges (n and k
-//! of 1, 7, 8, 9 and 17), an all-zero weight row with a −0.0 bias, −0.0
-//! and ±∞ inputs, which reach the projection unquantized at 16-bit
-//! activations, and one module large enough (n·k ≥ `ops::PAR_MIN_FLOPS`)
-//! for the GEMV to stripe its blocks over `DUET_NUM_THREADS` workers.
+//! Any change to accumulation order shows here. The sweep covers block
+//! edges (n and k of 1, 7, 8, 9 and 17), an all-zero weight row with a
+//! −0.0 bias, −0.0 and ±∞ inputs, which reach the projection unquantized
+//! at 16-bit activations, and one module large enough (n·k ≥
+//! `ops::PAR_MIN_FLOPS`) for the GEMV to stripe its blocks over
+//! `DUET_NUM_THREADS` workers.
 
 use duet_core::{ApproxConfig, ApproxLinear, TernaryProjection};
 use duet_tensor::fixed::{Fixed16Tensor, Int4Tensor};
@@ -232,8 +231,8 @@ fn striped_gemv_is_bitwise_the_whole_tensor_chain() {
             );
         }
         // The column GEMM stripes above the threshold too; `ops::matmul`
-        // would switch to its blocked (and, under `simd`, vector) kernel
-        // at this size, so the reference is the naive kernel itself.
+        // would switch to its blocked kernel at this size, so the
+        // reference is the naive kernel itself.
         let m = rng::normal(&mut r, &[d, 2], 0.0, 1.0);
         assert_bitwise(
             &a.forward_columns(&m),

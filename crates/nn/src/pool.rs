@@ -31,11 +31,6 @@ impl MaxPool2d {
     pub fn window(&self) -> usize {
         self.window
     }
-
-    /// Output spatial size for an input spatial size.
-    pub fn out_spatial(&self, h: usize, w: usize) -> (usize, usize) {
-        (h / self.window, w / self.window)
-    }
 }
 
 impl Layer for MaxPool2d {

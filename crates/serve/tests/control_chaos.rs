@@ -84,10 +84,7 @@ fn checksum(responses: &[InferenceResponse]) -> u64 {
 
 /// Captured on the pre-controller code path (static level → θ table,
 /// `guard.ewma().unwrap_or(0.0)` seam and all). `control: None` must
-/// reproduce it bit for bit — the controller is strictly opt-in. The
-/// absolute pins hold on the scalar kernels they were captured on; the
-/// SIMD micro-kernels differ by a few ULPs, so under an active SIMD
-/// dispatch only the structural invariants are asserted.
+/// reproduce it bit for bit — the controller is strictly opt-in.
 #[test]
 fn controller_off_is_bitwise_identical_to_the_static_table() {
     let mut server = DuetServer::new(
@@ -100,12 +97,10 @@ fn controller_off_is_bitwise_identical_to_the_static_table() {
     assert_eq!(report.completed, report.submitted);
     assert_eq!(report.dropped, 0);
     assert!(server.control_samples().is_empty());
-    if !duet_tensor::ops::simd_active() {
-        assert_eq!(report.completed, 185);
-        assert_eq!(report.degraded_batches, 61);
-        assert_eq!(report.drained_at_tick, 412);
-        assert_eq!(checksum(&responses), 0x86ace05d5a7861fb);
-    }
+    assert_eq!(report.completed, 185);
+    assert_eq!(report.degraded_batches, 61);
+    assert_eq!(report.drained_at_tick, 412);
+    assert_eq!(checksum(&responses), 0x86ace05d5a7861fb);
 }
 
 fn chaos_server(workers: usize) -> DuetServer {

@@ -166,15 +166,6 @@ impl MacInstructionLut {
         }
         (out, macs)
     }
-
-    /// Dense reference: the same tile computed with every instruction.
-    pub fn execute_dense(&self, input: &Tensor, weights: &Tensor) -> Tensor {
-        let mut dense = self.clone();
-        for inst in &mut dense.instructions {
-            inst.tag = true;
-        }
-        dense.execute(input, weights).0
-    }
 }
 
 #[cfg(test)]

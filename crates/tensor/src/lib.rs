@@ -32,13 +32,7 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
-// The crate is `unsafe`-free except for the feature-gated SIMD
-// intrinsics in [`simd`]; with the `simd` feature off the historical
-// `forbid` still holds, with it on the lint is `deny` so only `simd.rs`
-// (which carries a module-level `allow` and per-call SAFETY notes) may
-// opt in.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fixed;
@@ -48,8 +42,6 @@ pub mod parallel;
 pub mod quantize;
 pub mod rng;
 pub mod shape;
-#[cfg(feature = "simd")]
-pub mod simd;
 pub mod stats;
 pub mod tensor;
 

@@ -35,21 +35,20 @@
 //! keep the vector units fed. The stripe design above keeps the naive
 //! kernel's proven inner loop and attacks only its memory traffic.
 //!
-//! # SIMD dispatch
+//! # One set of bits
 //!
-//! Under the `simd` cargo feature, [`matmul`]'s stripe worker and the
-//! [`gemv`]/[`affine`]/[`dot`] row dots dispatch to the explicit vector
-//! kernels in `crate::simd` when the CPU supports them at runtime
-//! (AVX2+FMA on x86_64, NEON on aarch64) and `DUET_SIMD` is not `0`.
-//! The scalar kernels here remain the default *bitwise-stable* path —
-//! the SIMD kernels fuse multiply-adds, so they agree with the scalar
-//! order only to a few ULPs (pinned by `tests/simd_equivalence.rs`), and
-//! everything checksummed (committed bench artifacts, simulator runs) is
-//! produced with the default feature set.
+//! Each kernel has one accumulation order at every thread count: the
+//! [`gemv`], [`affine`] and [`dot`] row dots fold from −0.0 in ascending
+//! index, as `f32`'s `Sum` does ([`affine`] adds the bias last), and
+//! [`matmul`] accumulates each output over `k` from +0.0 in the order of
+//! [`matmul_naive`]. Rust never contracts `a * b + c` into a fused
+//! multiply-add, so the order fixes the bits on every target. Every
+//! committed `results/` artifact, checksum and pin comes from this one
+//! arithmetic, and so does every dense twin a dual path is compared with.
 //!
 //! [`matmul_naive`] is the original three-loop kernel, kept as the
 //! reference implementation the blocked/parallel paths are tested against
-//! (they must agree within `1e-4`).
+//! (they must agree bit for bit).
 
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -72,56 +71,6 @@ pub const BLOCKED_MIN_FLOPS: usize = 32 * 32 * 32;
 /// [`parallel::num_threads`].
 pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 
-/// Whether the `crate::simd` micro-kernels take over the hot loops for
-/// this call: compiled in, supported by the CPU, and not disabled via
-/// `DUET_SIMD=0`. Callers hoist this out of their row loops (the env
-/// check is re-read per kernel call, not per row). Public so tests that
-/// pin absolute float-derived checksums — captured on the scalar,
-/// bitwise-stable kernel order — can detect the (ULP-different) SIMD
-/// path and fall back to structural assertions.
-#[inline]
-pub fn simd_active() -> bool {
-    #[cfg(feature = "simd")]
-    return crate::simd::enabled();
-    #[cfg(not(feature = "simd"))]
-    false
-}
-
-/// Row-dot dispatch: the SIMD dot when `use_simd`, otherwise the scalar
-/// bitwise-stable [`dot_slices`].
-#[inline]
-fn dot_dispatch(use_simd: bool, a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(feature = "simd")]
-    if use_simd {
-        return crate::simd::dot(a, b);
-    }
-    let _ = use_simd;
-    dot_slices(a, b)
-}
-
-/// GEMM worker dispatch: the SIMD stripe kernel when `use_simd`,
-/// otherwise the scalar bitwise-stable [`gemm_rows`].
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows_dispatch(
-    use_simd: bool,
-    ad: &[f32],
-    bd: &[f32],
-    chunk: &mut [f32],
-    row0: usize,
-    rows_len: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(feature = "simd")]
-    if use_simd {
-        crate::simd::gemm_rows(ad, bd, chunk, row0, rows_len, k, n);
-        return;
-    }
-    let _ = use_simd;
-    gemm_rows(ad, bd, chunk, row0, rows_len, k, n);
-}
-
 fn assert_matmul_shapes(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
     assert_eq!(a.shape().rank(), 2, "matmul lhs must be 2-D");
     assert_eq!(b.shape().rank(), 2, "matmul rhs must be 2-D");
@@ -140,9 +89,8 @@ fn assert_matmul_shapes(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
 /// Matrix multiplication `C = A · B` for 2-D tensors.
 ///
 /// Row-striped, cache-blocked, and parallelized over output rows (see the
-/// module docs); thread count comes from [`parallel::num_threads`]. Agrees
-/// with [`matmul_naive`] within `1e-4` and is deterministic across thread
-/// counts.
+/// module docs); thread count comes from [`parallel::num_threads`]. Bitwise
+/// equal to [`matmul_naive`] at every thread count.
 ///
 /// # Panics
 ///
@@ -183,10 +131,6 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     duet_obs::gauge!("tensor.gemm.max_threads").set_max(threads as i64);
 
     let _call = duet_obs::span("tensor.gemm");
-    let use_simd = simd_active();
-    if use_simd {
-        duet_obs::counter!("tensor.gemm.simd").inc();
-    }
     let mut c = Tensor::zeros(&[m, n]);
     let ad = a.data();
     let bd = b.data();
@@ -195,7 +139,7 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         // durations exposes load imbalance (max vs. p50), and in a trace
         // the stripes render as parallel slices on per-thread tracks.
         let _stripe = duet_obs::span("tensor.gemm.stripe");
-        gemm_rows_dispatch(use_simd, ad, bd, chunk, rows.start, rows.len(), k, n);
+        gemm_rows(ad, bd, chunk, rows.start, rows.len(), k, n);
     });
     c
 }
@@ -318,11 +262,10 @@ fn gemv_rows(w: &Tensor, xd: &[f32], y: &mut [f32], threads: usize) {
     if threads == 1 {
         duet_obs::counter!("tensor.gemv.serial_fallback").inc();
     }
-    let use_simd = simd_active();
     let wd = w.data();
     parallel::for_each_row_chunk(y, n, 1, threads, |rows, chunk| {
         for (local, i) in rows.enumerate() {
-            chunk[local] = dot_dispatch(use_simd, &wd[i * d..(i + 1) * d], xd);
+            chunk[local] = dot_slices(&wd[i * d..(i + 1) * d], xd);
         }
     });
 }
@@ -372,14 +315,13 @@ pub fn affine_with_threads(w: &Tensor, x: &Tensor, b: &Tensor, threads: usize) -
     };
     duet_obs::counter!("tensor.affine.calls").inc();
     duet_obs::counter!("tensor.affine.flops").add((2 * n * d + n) as u64);
-    let use_simd = simd_active();
     let mut y = Tensor::zeros(&[n]);
     let wd = w.data();
     let xd = x.data();
     let bd = b.data();
     parallel::for_each_row_chunk(y.data_mut(), n, 1, threads, |rows, chunk| {
         for (local, i) in rows.enumerate() {
-            chunk[local] = dot_dispatch(use_simd, &wd[i * d..(i + 1) * d], xd) + bd[i];
+            chunk[local] = dot_slices(&wd[i * d..(i + 1) * d], xd) + bd[i];
         }
     });
     y
@@ -436,7 +378,7 @@ pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) {
 /// Panics if lengths differ.
 pub fn dot(a: &Tensor, b: &Tensor) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    dot_dispatch(simd_active(), a.data(), b.data())
+    dot_slices(a.data(), b.data())
 }
 
 /// Mean squared error between two tensors of the same shape.
@@ -500,10 +442,10 @@ mod tests {
         assert_eq!(&c.data()[8..12], &[8.0, 10.0, 12.0, 14.0]);
     }
 
-    fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
+    fn assert_bitwise(a: &Tensor, b: &Tensor) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < tol, "{x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
     }
 
@@ -513,7 +455,7 @@ mod tests {
         for (m, k, n) in [(33, 40, 37), (64, 64, 64), (61, 128, 5), (4, 100, 90)] {
             let a = rng::normal(&mut r, &[m, k], 0.0, 1.0);
             let b = rng::normal(&mut r, &[k, n], 0.0, 1.0);
-            assert_close(&matmul(&a, &b), &matmul_naive(&a, &b), 1e-4);
+            assert_bitwise(&matmul(&a, &b), &matmul_naive(&a, &b));
         }
     }
 
@@ -534,7 +476,7 @@ mod tests {
         }
         let b = rng::normal(&mut r, &[48, 36], 0.0, 1.0);
         let c = matmul(&a, &b);
-        assert_close(&c, &matmul_naive(&a, &b), 1e-4);
+        assert_bitwise(&c, &matmul_naive(&a, &b));
         assert!(c.row(5).iter().all(|&v| v == 0.0));
         assert!(c.row(17).iter().all(|&v| v == 0.0));
     }
@@ -589,7 +531,7 @@ mod tests {
         let fused = affine_with_threads(&w, &x, &b, 4);
         let mut reference = gemv_with_threads(&w, &x, 1);
         axpy(1.0, &b, &mut reference);
-        assert_close(&fused, &reference, 1e-5);
+        assert_bitwise(&fused, &reference);
     }
 
     #[test]

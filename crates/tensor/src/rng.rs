@@ -223,15 +223,6 @@ pub fn normal(rng: &mut Rng, dims: &[usize], mean: f32, std: f32) -> Tensor {
     Tensor::from_fn(dims, |_| mean + std * normal_sample(rng))
 }
 
-/// Returns `true` with probability `p`.
-///
-/// # Panics
-///
-/// Panics if `p` is outside [0, 1].
-pub fn bernoulli(rng: &mut Rng, p: f64) -> bool {
-    rng.random_bool(p)
-}
-
 /// Samples an index from an unnormalized non-negative weight slice.
 ///
 /// # Panics

@@ -1,7 +1,5 @@
 //! Summary statistics used by the evaluation harness.
 
-use crate::tensor::Tensor;
-
 /// Basic running statistics over a scalar stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
@@ -54,11 +52,6 @@ impl Summary {
         }
         let m = self.mean();
         (self.sum_sq / self.count as f64 - m * m).max(0.0)
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Minimum observation; +∞ when empty.
@@ -114,13 +107,6 @@ impl Histogram {
         let idx = (t.max(0.0) as usize).min(n - 1);
         self.bins[idx] += 1;
         self.total += 1;
-    }
-
-    /// Adds every element of a tensor.
-    pub fn push_tensor(&mut self, t: &Tensor) {
-        for &x in t.data() {
-            self.push(x);
-        }
     }
 
     /// Raw bin counts.

@@ -5,7 +5,7 @@
 //! dependencies. Each law is checked across a sweep of seeds (and, for the
 //! kernels, across deliberately awkward shapes: 1×1, prime dimensions,
 //! tall/skinny) — the parallel blocked kernels must agree with
-//! [`ops::matmul_naive`] within `1e-4`.
+//! [`ops::matmul_naive`] bit for bit.
 
 use duet_tensor::fixed::{Fixed16Tensor, Int4Tensor};
 use duet_tensor::im2col::{col2im, conv2d_direct, im2col, ConvGeometry};
@@ -68,8 +68,8 @@ fn gemv_matmul_consistency() {
     }
 }
 
-/// The blocked/parallel matmul agrees with the naive reference within
-/// 1e-4 across odd shapes: 1×1, prime dims, tall/skinny, and shapes that
+/// The blocked/parallel matmul agrees with the naive reference bit for
+/// bit across odd shapes: 1×1, prime dims, tall/skinny, and shapes that
 /// straddle the register-tile and panel boundaries.
 #[test]
 fn blocked_matmul_matches_naive_on_odd_shapes() {
@@ -94,8 +94,9 @@ fn blocked_matmul_matches_naive_on_odd_shapes() {
             let c = ops::matmul_with_threads(&a, &b, threads);
             assert_eq!(c.shape(), reference.shape());
             for (x, y) in c.data().iter().zip(reference.data()) {
-                assert!(
-                    (x - y).abs() < 1e-4,
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
                     "shape ({m},{k},{n}) threads {threads}: {x} vs {y}"
                 );
             }
@@ -103,7 +104,8 @@ fn blocked_matmul_matches_naive_on_odd_shapes() {
     }
 }
 
-/// The parallel gemv agrees with a scalar dot-product loop on odd shapes.
+/// The parallel gemv agrees bit for bit with a scalar dot-product loop
+/// folded from −0.0, as `f32`'s `Sum` folds, on odd shapes.
 #[test]
 fn gemv_matches_naive_on_odd_shapes() {
     for (si, &(n, d)) in [(1usize, 1usize), (5, 3), (127, 1), (311, 211), (64, 4099)]
@@ -116,12 +118,13 @@ fn gemv_matches_naive_on_odd_shapes() {
         for threads in [1usize, 4] {
             let y = ops::gemv_with_threads(&w, &x, threads);
             for i in 0..n {
-                let mut acc = 0.0f32;
+                let mut acc = -0.0f32;
                 for j in 0..d {
                     acc += w.data()[i * d + j] * x.data()[j];
                 }
-                assert!(
-                    (y.data()[i] - acc).abs() < 1e-4 * acc.abs().max(1.0),
+                assert_eq!(
+                    y.data()[i].to_bits(),
+                    acc.to_bits(),
                     "({n},{d}) row {i} threads {threads}"
                 );
             }

@@ -38,19 +38,10 @@ echo "== cargo test (DUET_NUM_THREADS=4) =="
 # sim suite with a pinned 4-thread fan-out to catch divergence.
 DUET_NUM_THREADS=4 cargo test -q -p duet-sim --offline
 
-echo "== cargo build + test (--features simd) =="
-# The SIMD micro-kernel lane: compiles the feature-gated intrinsics and
-# runs the full suite plus the ULP-equivalence pins. The SIMD tests
-# auto-skip (pass trivially) on CPUs without AVX2/NEON, so this lane is
-# safe everywhere; dispatch falls back to the scalar kernels at runtime.
-cargo build --workspace --release --offline --features duet-tensor/simd
-cargo test -q --workspace --offline --features duet-tensor/simd
-
-echo "== fig10 reproduces (simd build) =="
+echo "== fig10 reproduces =="
 # The conv/MLP/RNN quality exhibit is deterministic, and the committed
-# table comes from the simd build left in target/release above (a
-# default build differs in the last LSTM digits): it must print byte for
-# byte what results/ holds.
+# table comes from the release build above: it must print byte for byte
+# what results/ holds.
 ./target/release/fig10_quality_tradeoff | cmp - results/fig10_quality_tradeoff.txt
 
 echo "== telemetry smoke (sim_bench --smoke under DUET_TRACE) =="
@@ -70,9 +61,7 @@ rm -f results/trace_verify.json results/BENCH_sim_smoke.json results/METRICS_sim
 echo "== sparse skip-throughput smoke (sparse_bench --smoke under DUET_METRICS=1) =="
 # Word-parallel map scanning must visit the same sensitive set as the
 # bit-serial reference (in-binary checksum assertion); metrics on to
-# exercise the kernels' counters. Smoke output is scratch. Note the
-# release binary here is the simd-featured build from the lane above, so
-# on capable CPUs the GEMM scalar-vs-SIMD comparison runs for real.
+# exercise the kernels' counters. Smoke output is scratch.
 rm -f results/BENCH_sparse_smoke.json
 DUET_METRICS=1 ./target/release/sparse_bench --smoke
 test -s results/BENCH_sparse_smoke.json
@@ -197,8 +186,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
-# and the feature-gated SIMD intrinsics
-cargo clippy --workspace --all-targets --offline --features duet-tensor/simd -- -D warnings
 
 echo "== cargo clippy (unwrap_used in library code) =="
 # Library code in every workspace crate must not use .unwrap() —

@@ -39,6 +39,8 @@
 //! assert_eq!(out.output.len(), 64);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use duet_core as core;
 pub use duet_nn as nn;
 pub use duet_obs as obs;
