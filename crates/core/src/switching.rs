@@ -539,8 +539,8 @@ impl SwitchingMap {
     }
 
     /// Packs the map into bits (one bit per neuron, little-endian within a
-    /// byte) — the format stored in the GLB and the canonical on-disk
-    /// codec of `duet-sim`'s trace blobs.
+    /// byte) — the format stored in the GLB, in which `duet-sim`'s fault
+    /// injector flips map bits.
     pub fn packed_bytes(&self) -> Vec<u8> {
         self.words()
             .iter()
@@ -788,7 +788,7 @@ mod tests {
     #[test]
     fn packed_byte_layout_is_lsb_first() {
         // bit i sits in byte i/8 at position i%8 — the GLB layout the
-        // trace codec has always written.
+        // fault injector flips map bits in.
         let mut flags = vec![false; 16];
         flags[0] = true;
         flags[3] = true;

@@ -17,7 +17,6 @@
 //! fault lands at the same point of the schedule on every replay.
 
 use crate::replica::ModelVariant;
-use duet_tensor::fixed::Int4Tensor;
 use duet_tensor::rng::seeded;
 
 /// What a chaos event does when it fires.
@@ -250,42 +249,19 @@ pub fn plan(cfg: &ChaosConfig, topology: &ChaosTopology) -> Vec<ChaosEvent> {
 }
 
 /// Flips each stored bit of an FC-layer model's speculator weights with
-/// probability `rate` (seeded, staying inside the tensor's bit width —
-/// the same corruption model as `duet-sim`'s fault injector) and
-/// reassembles the approximate module around the corrupted tensor.
-/// Returns the number of flipped bits; `None` targets (transformer
-/// blocks have no speculator write-back) leave the model untouched and
-/// return 0.
+/// probability `rate`
+/// ([`duet_tensor::fixed::Int4Tensor::with_flipped_bits`] on a generator
+/// seeded from `seed`, the corruption model of `duet-sim`'s fault
+/// injector) and reassembles the approximate module around the
+/// corrupted tensor. Returns the number of flipped bits; `None` targets
+/// (transformer blocks have no speculator write-back) leave the model
+/// untouched and return 0.
 pub fn corrupt_variant(model: &mut ModelVariant, rate: f64, seed: u64) -> u64 {
     let ModelVariant::Layer(layer) = model else {
         return 0;
     };
     let approx = layer.approx();
-    let t = approx.weights();
-    let bits = t.bits();
-    let mask: u8 = (((1u16) << bits) - 1) as u8;
-    let sign: u8 = 1 << (bits - 1);
-    let mut r = seeded(seed);
-    let mut flips = 0u64;
-    let data: Vec<i8> = t
-        .data()
-        .iter()
-        .map(|&v| {
-            let mut w = (v as u8) & mask;
-            for bit in 0..bits {
-                if r.random_bool(rate) {
-                    w ^= 1 << bit;
-                    flips += 1;
-                }
-            }
-            if w & sign != 0 {
-                (w | !mask) as i8
-            } else {
-                w as i8
-            }
-        })
-        .collect();
-    let corrupted = Int4Tensor::from_raw_with_bits(data, t.scale(), t.shape().dims(), bits);
+    let (corrupted, flips) = approx.weights().with_flipped_bits(rate, &mut seeded(seed));
     let rebuilt = duet_core::ApproxLinear::from_quantized(
         approx.projection().clone(),
         corrupted,

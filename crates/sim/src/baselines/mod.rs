@@ -109,11 +109,7 @@ pub(crate) fn layer_perf(
         latency_cycles: compute_cycles.max(dram_cycles),
         executed_macs,
         dense_macs: trace.dense_macs(),
-        mac_utilization: if compute_cycles == 0 {
-            0.0
-        } else {
-            executed_macs as f64 / (compute_cycles * config.pe_count() as u64) as f64
-        },
+        mac_utilization: crate::report::mac_utilization(executed_macs, compute_cycles, config),
         energy,
     }
 }

@@ -154,11 +154,6 @@ impl ArchConfig {
         Self { features, ..self }
     }
 
-    /// Same architecture with a different Speculator size.
-    pub fn with_speculator(self, speculator: SpeculatorConfig) -> Self {
-        Self { speculator, ..self }
-    }
-
     /// Total Executor PE count.
     pub fn pe_count(&self) -> usize {
         self.pe_rows * self.pe_cols
@@ -207,17 +202,5 @@ mod tests {
     fn with_builders() {
         let c = ArchConfig::duet().with_features(ExecutorFeatures::os());
         assert_eq!(c.features.label(), "OS");
-        let s = SpeculatorConfig {
-            systolic_rows: 8,
-            systolic_cols: 8,
-            precision_bits: 4,
-        };
-        assert_eq!(
-            ArchConfig::duet()
-                .with_speculator(s)
-                .speculator
-                .macs_per_cycle(),
-            64
-        );
     }
 }

@@ -47,10 +47,7 @@ impl ExecutorLayerResult {
     /// MAC-array utilization: executed MACs over issue slots
     /// (`compute_cycles × PE count`) — the metric of Fig. 12(b).
     pub fn mac_utilization(&self, config: &ArchConfig) -> f64 {
-        if self.compute_cycles == 0 {
-            return 0.0;
-        }
-        self.executed_macs as f64 / (self.compute_cycles * config.pe_count() as u64) as f64
+        crate::report::mac_utilization(self.executed_macs, self.compute_cycles, config)
     }
 
     /// Layer latency in cycles: compute and data streaming overlap via

@@ -85,36 +85,16 @@ impl FaultInjector {
     }
 
     /// Flips each stored bit of an INT4/narrow-width weight tensor with
-    /// probability `rate`, staying inside the two's-complement range of
-    /// the tensor's bit width (the flip happens in the packed `bits`-wide
-    /// word; the result is sign-extended back).
+    /// probability `rate`, staying inside the tensor's bit width
+    /// ([`Int4Tensor::with_flipped_bits`] on the injector's generator).
     ///
     /// # Panics
     ///
     /// Panics if `rate` is outside [0, 1].
     pub fn corrupt_int4(&mut self, t: &Int4Tensor, rate: f64) -> Int4Tensor {
-        let bits = t.bits();
-        let mask: u8 = (((1u16) << bits) - 1) as u8;
-        let sign: u8 = 1 << (bits - 1);
-        let data: Vec<i8> = t
-            .data()
-            .iter()
-            .map(|&v| {
-                let mut w = (v as u8) & mask;
-                for bit in 0..bits {
-                    if self.rng.random_bool(rate) {
-                        w ^= 1 << bit;
-                        self.flips += 1;
-                    }
-                }
-                if w & sign != 0 {
-                    (w | !mask) as i8
-                } else {
-                    w as i8
-                }
-            })
-            .collect();
-        Int4Tensor::from_raw_with_bits(data, t.scale(), t.shape().dims(), bits)
+        let (corrupted, flips) = t.with_flipped_bits(rate, &mut self.rng);
+        self.flips += flips;
+        corrupted
     }
 
     /// Flips each bit of a switching map with probability `rate`

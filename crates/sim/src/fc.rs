@@ -7,11 +7,10 @@
 //! rows of insensitive outputs entirely.
 
 use crate::config::ArchConfig;
-use crate::energy::EnergyBreakdown;
 use crate::energy::EnergyTable;
-use crate::glb::GlbPlan;
 use crate::report::LayerPerf;
-use crate::speculator::speculate_rnn_gate;
+use crate::speculator::speculate_gemv;
+use crate::stage::RowStage;
 use duet_core::switching::SwitchingMap;
 
 /// Workload of one FC layer at batch size 1.
@@ -101,68 +100,23 @@ pub fn run_fc_layer(
         trace.output as u64
     };
     let row_macs = trace.input as u64;
-
-    let plan = GlbPlan {
-        weight_bytes: trace.output as u64 * trace.row_bytes(),
-        input_bytes: trace.input as u64 * 2,
-        output_bytes: trace.output as u64 * 2,
-        speculator_bytes: 64 << 10,
-    };
     // FC weights are used once per inference: even when they fit they
-    // must be brought on-chip once.
-    let fetch_bytes = rows * trace.row_bytes();
-    let _ = plan;
-    let dram_cycles = fetch_bytes.div_ceil(config.dram_bytes_per_cycle as u64);
-
-    let row_batches = rows.div_ceil(config.pe_rows as u64);
-    let compute_cycles = row_batches * row_macs.div_ceil(config.pe_cols as u64);
-
-    let (spec_cycles, spec_energy) = if dual {
-        let s = speculate_rnn_gate(trace.output, trace.input, trace.reduced_dim, config, energy);
-        // FC speculation needs only the input-side student: halve the
-        // RNN-gate estimate (which assumes two students).
-        (s.cycles / 2, s.energy.scaled(0.5))
-    } else {
-        (0, EnergyBreakdown::default())
-    };
-
-    // No preceding gate to hide behind at batch 1: the speculation is
-    // exposed, but it is tiny next to the weight streaming.
-    let latency = dram_cycles.max(compute_cycles) + spec_cycles;
-
-    let executed_macs = rows * row_macs;
-    let energy_bd = EnergyBreakdown {
-        executor_compute_pj: executed_macs as f64 * energy.mac_int16_pj,
-        executor_rf_pj: executed_macs as f64 * energy.rf_16b_pj,
-        glb_pj: (executed_macs as f64 / 16.0 + trace.input as f64) * energy.glb_16b_pj,
-        noc_pj: fetch_bytes as f64 / 2.0 * energy.noc_16b_pj,
-        dram_pj: fetch_bytes as f64 / 2.0 * energy.dram_16b_pj,
-        speculator_pj: 0.0,
-        control_pj: compute_cycles as f64
-            * config.pe_count() as f64
-            * energy.control_pj_per_cycle
-            * 0.1,
-    } + spec_energy;
-
-    let perf = LayerPerf {
-        name: trace.name.clone(),
-        executor_cycles: compute_cycles,
-        speculator_cycles: spec_cycles,
-        dram_cycles,
-        latency_cycles: latency,
-        executed_macs,
-        dense_macs: trace.output as u64 * row_macs,
-        mac_utilization: if compute_cycles == 0 {
-            0.0
-        } else {
-            executed_macs as f64 / (compute_cycles * config.pe_count() as u64) as f64
-        },
-        energy: energy_bd,
-    };
-
+    // must be brought on-chip once. No preceding gate to hide behind at
+    // batch 1: the speculation is exposed, but it is tiny next to the
+    // weight streaming.
+    let cost = RowStage {
+        rows,
+        row_macs,
+        fetch_bytes: rows * trace.row_bytes(),
+        glb_words: trace.input as u64,
+        spec: dual
+            .then(|| speculate_gemv(trace.output, trace.input, trace.reduced_dim, config, energy)),
+        hidden_behind: 0,
+    }
+    .cost(config, energy);
     FcRunResult {
-        perf,
-        weight_bytes_fetched: fetch_bytes,
+        perf: cost.perf(&trace.name, trace.output as u64 * row_macs, config),
+        weight_bytes_fetched: cost.fetched_bytes,
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! The 1 MiB GLB holds inputs, weights, outputs, Speculator data and
 //! switching maps. A layer whose working set exceeds the GLB must
-//! re-stream data from DRAM; this model decides how often.
+//! re-stream its weights from DRAM on every pass; this model decides
+//! whether it fits (the RNN runner loads a fitting gate matrix once and
+//! streams one that does not at every step).
 
 use crate::config::ArchConfig;
 
@@ -38,18 +40,6 @@ impl GlbPlan {
     pub fn fits(&self, config: &ArchConfig) -> bool {
         self.total_bytes() <= config.glb_bytes as u64
     }
-
-    /// DRAM traffic multiplier for the *weights*: 1 when everything fits;
-    /// when weights alone exceed the GLB budget left by activations, the
-    /// weights cannot be kept resident and each reuse pass re-fetches
-    /// them (the RNN situation: a 2 MiB gate matrix vs a 1 MiB GLB).
-    pub fn weight_refetch_factor(&self, config: &ArchConfig, reuse_passes: u64) -> u64 {
-        if self.fits(config) {
-            1
-        } else {
-            reuse_passes.max(1)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +55,6 @@ mod tests {
             speculator_bytes: 50_000,
         };
         assert!(p.fits(&ArchConfig::duet()));
-        assert_eq!(p.weight_refetch_factor(&ArchConfig::duet(), 10), 1);
     }
 
     #[test]
@@ -78,7 +67,6 @@ mod tests {
             speculator_bytes: 64 << 10,
         };
         assert!(!p.fits(&ArchConfig::duet()));
-        assert_eq!(p.weight_refetch_factor(&ArchConfig::duet(), 20), 20);
     }
 
     #[test]

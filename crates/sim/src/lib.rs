@@ -18,10 +18,19 @@
 //!   simulate, serial compose),
 //! * [`fc`] / [`transformer`] — the memory-bound FC GEMV and the dual
 //!   transformer block (six speculated projections per position plus a
-//!   dense softmax mixer), driven by real `DualBlockOutput` maps,
+//!   dense softmax mixer), driven by real `DualBlockOutput` maps; an FC
+//!   layer, an RNN gate and a transformer projection are each one
+//!   speculated GEMV stage, priced by one crate-private model (row
+//!   fetches from DRAM, PE-array cycles, the speculation the previous
+//!   stage hides, and the energy breakdown),
 //! * [`sweep`] — the design-space-exploration driver fanning a
 //!   (config × workload) grid out over `duet_tensor::parallel`,
-//! * [`glb`] / [`dram`] / [`noc`] — memory-system components,
+//! * [`glb`] — the GLB capacity model behind the RNN weight-fit
+//!   decision,
+//! * [`fault`] — seeded fault injection (INT4 weight bits, map bits, GLB
+//!   words) and the fault campaign over a sweep grid,
+//! * [`pe`] / [`systolic`] / [`adder_tree`] — functional models of the
+//!   Executor PE, the Speculator's systolic array and its adder trees,
 //! * [`energy`] / [`area`] — the CACTI-style constant tables behind the
 //!   energy breakdowns and Table I,
 //! * [`baselines`] — Eyeriss, Cnvlutin, SnaPEA, Predict(+Cnvlutin),
@@ -54,22 +63,20 @@ pub mod area;
 pub mod baselines;
 pub mod cnn;
 pub mod config;
-pub mod dram;
 pub mod energy;
 pub mod executor;
 pub mod fault;
 pub mod fc;
 pub mod glb;
-pub mod noc;
 pub mod pe;
 pub mod reorder;
 pub mod report;
 pub mod rnn;
 pub mod speculator;
+mod stage;
 pub mod sweep;
 pub mod systolic;
 pub mod trace;
-pub mod trace_io;
 pub mod transformer;
 
 pub use area::{AreaModel, AreaReport};

@@ -26,6 +26,21 @@ pub struct LayerPerf {
     pub energy: EnergyBreakdown,
 }
 
+/// MAC-array utilization: executed MACs over issue slots
+/// (`executor_cycles × PE count`), the Fig. 12(b) metric; 0 when the
+/// array never ran.
+pub(crate) fn mac_utilization(
+    executed_macs: u64,
+    executor_cycles: u64,
+    config: &ArchConfig,
+) -> f64 {
+    if executor_cycles == 0 {
+        0.0
+    } else {
+        executed_macs as f64 / (executor_cycles * config.pe_count() as u64) as f64
+    }
+}
+
 /// Whole-model simulation result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelPerf {
@@ -43,11 +58,6 @@ impl ModelPerf {
     /// Total energy across layers.
     pub fn total_energy(&self) -> EnergyBreakdown {
         self.layers.iter().map(|l| l.energy).sum()
-    }
-
-    /// End-to-end latency in milliseconds.
-    pub fn latency_ms(&self, config: &ArchConfig) -> f64 {
-        config.cycles_to_ms(self.total_latency_cycles)
     }
 
     /// Speedup of this result relative to a baseline run of the same
@@ -126,12 +136,5 @@ mod tests {
         });
         let u = p.avg_mac_utilization();
         assert!((u - (0.5 * 100.0 + 0.9 * 300.0) / 400.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_ms_uses_clock() {
-        let p = perf(2_000_000, 1.0);
-        let cfg = ArchConfig::duet();
-        assert!((p.latency_ms(&cfg) - 2.0).abs() < 1e-9);
     }
 }

@@ -16,10 +16,11 @@
 //! identical across thread counts.
 
 use crate::config::ArchConfig;
-use crate::energy::{EnergyBreakdown, EnergyTable};
+use crate::energy::EnergyTable;
 use crate::glb::GlbPlan;
 use crate::report::{LayerPerf, ModelPerf};
-use crate::speculator::speculate_rnn_gate;
+use crate::speculator::{speculate_rnn_gate, SpeculatorResult};
+use crate::stage::{RowStage, StageCost};
 use crate::trace::RnnLayerTrace;
 use duet_tensor::parallel;
 
@@ -123,17 +124,6 @@ pub fn run_rnn_layer_with(
     run_rnn_layer_with_threads(trace, config, energy, options, parallel::num_threads())
 }
 
-/// Per-step simulation partials, reduced in step order by the caller.
-struct StepPartial {
-    split: RnnLatencySplit,
-    executed_macs: u64,
-    weight_bytes_fetched: u64,
-    energy: EnergyBreakdown,
-    spec_cycles: u64,
-    executor_cycles: u64,
-    dram_cycles: u64,
-}
-
 /// Walks the gates of one time step; the only cross-step coupling is the
 /// `step == 0` cold-fetch special case, decided from the step index alone.
 fn simulate_rnn_step(
@@ -143,94 +133,46 @@ fn simulate_rnn_step(
     energy: &EnergyTable,
     options: RnnOptions,
     streamed: bool,
-    k: usize,
-) -> StepPartial {
-    let dual = options.dual;
+    spec: Option<SpeculatorResult>,
+) -> StageCost {
     let rows_per_gate = trace.hidden as u64;
-    let row_macs = trace.row_macs();
     let row_bytes = trace.row_weight_bytes();
-
-    let mut p = StepPartial {
-        split: RnnLatencySplit::default(),
-        executed_macs: 0,
-        weight_bytes_fetched: 0,
-        energy: EnergyBreakdown::default(),
-        spec_cycles: 0,
-        executor_cycles: 0,
-        dram_cycles: 0,
-    };
-
+    let mut step_cost = StageCost::default();
     let mut prev_gate_latency = 0u64;
     for gate in 0..trace.gates {
-        let sensitive = if dual {
+        let rows = if options.dual {
             trace.sensitive_rows(step, gate) as u64
         } else {
             rows_per_gate
         };
-
         // DRAM: fetch only sensitive rows (or everything when the
         // matrix would fit — it never does for real LSTM sizes).
         let fetch_bytes = if streamed {
-            sensitive * row_bytes
+            rows * row_bytes
         } else if step == 0 {
             rows_per_gate * row_bytes
         } else {
             0
         };
-        p.weight_bytes_fetched += fetch_bytes;
-        let dram_cycles = fetch_bytes.div_ceil(config.dram_bytes_per_cycle as u64);
-
-        // Compute: each PE row takes one weight row; the row's dot
-        // product spreads over the row's PEs.
-        let row_batches = sensitive.div_ceil(config.pe_rows as u64);
-        let cycles_per_batch = row_macs.div_ceil(config.pe_cols as u64);
-        let compute_cycles = row_batches * cycles_per_batch;
-        p.executed_macs += sensitive * row_macs;
-        p.executor_cycles += compute_cycles;
-        p.dram_cycles += dram_cycles;
-
-        // Speculation for this gate (dual only): hidden behind the
-        // previous gate's execution; the step's first gate is exposed.
-        let (spec_cycles, spec_energy) = if dual {
-            let s = speculate_rnn_gate(trace.hidden, trace.input, k, config, energy);
-            (s.cycles, s.energy)
-        } else {
-            (0, EnergyBreakdown::default())
-        };
-        p.spec_cycles += spec_cycles;
-        let exposed_spec = if options.gate_pipeline {
-            spec_cycles.saturating_sub(prev_gate_latency)
-        } else {
-            spec_cycles
-        };
-
-        // Memory and compute overlap (double-buffered row streaming):
-        // the slower one dominates the gate.
-        let gate_latency = dram_cycles.max(compute_cycles) + exposed_spec;
-        if dram_cycles >= compute_cycles {
-            p.split.memory_cycles += dram_cycles;
-        } else {
-            p.split.compute_cycles += compute_cycles;
+        // Speculation for this gate hides behind the previous gate's
+        // execution; the step's first gate is exposed.
+        let cost = RowStage {
+            rows,
+            row_macs: trace.row_macs(),
+            fetch_bytes,
+            glb_words: (trace.input + trace.hidden) as u64,
+            spec,
+            hidden_behind: if options.gate_pipeline {
+                prev_gate_latency
+            } else {
+                0
+            },
         }
-        p.split.speculation_cycles += exposed_spec;
-        prev_gate_latency = gate_latency;
-
-        // Energy.
-        p.energy += EnergyBreakdown {
-            executor_compute_pj: (sensitive * row_macs) as f64 * energy.mac_int16_pj,
-            executor_rf_pj: (sensitive * row_macs) as f64 * 1.0 * energy.rf_16b_pj,
-            glb_pj: (sensitive * row_macs) as f64 / 16.0 * energy.glb_16b_pj
-                + (trace.input + trace.hidden) as f64 * energy.glb_16b_pj,
-            noc_pj: fetch_bytes as f64 / 2.0 * energy.noc_16b_pj,
-            dram_pj: fetch_bytes as f64 / 2.0 * energy.dram_16b_pj,
-            speculator_pj: 0.0,
-            control_pj: compute_cycles as f64
-                * config.pe_count() as f64
-                * energy.control_pj_per_cycle
-                * 0.1,
-        } + spec_energy;
+        .cost(config, energy);
+        prev_gate_latency = cost.latency();
+        step_cost += cost;
     }
-    p
+    step_cost
 }
 
 /// Simulates one recurrent layer with explicit [`RnnOptions`] on an
@@ -246,74 +188,45 @@ pub fn run_rnn_layer_with_threads(
 ) -> RnnRunResult {
     let _layer_span = duet_obs::span_lazy("sim.rnn.layer", || trace.name.clone());
     let rows_per_gate = trace.hidden as u64;
-    let row_macs = trace.row_macs();
-    let row_bytes = trace.row_weight_bytes();
 
     // Weight matrices never fit: h×(d+h) INT16 per gate.
     let plan = GlbPlan {
-        weight_bytes: rows_per_gate * row_bytes,
+        weight_bytes: rows_per_gate * trace.row_weight_bytes(),
         input_bytes: (trace.input + trace.hidden) as u64 * 2,
         output_bytes: trace.hidden as u64 * 2,
         speculator_bytes: GlbPlan::speculator_partition_bytes(config),
     };
     let streamed = !plan.fits(config);
 
-    // Reduced dim for speculation: paper-style k = h/8 clamped.
+    // Speculation for one gate: both students, reduced dim paper-style
+    // k = h/8 clamped.
     let k = (trace.hidden / 8).clamp(16, 256);
+    let spec = options
+        .dual
+        .then(|| speculate_rnn_gate(trace.hidden, trace.input, k, config, energy));
 
     // Phase 1 (parallel): independent per-step trace walks.
     let partials = parallel::map_indexed(trace.steps, threads, |step| {
-        simulate_rnn_step(step, trace, config, energy, options, streamed, k)
+        simulate_rnn_step(step, trace, config, energy, options, streamed, spec)
     });
 
     // Phase 2 (serial): fold partials in step order so float accumulation
     // order — and therefore every bit of the result — is thread-count
     // independent.
-    let mut split = RnnLatencySplit::default();
-    let mut executed_macs = 0u64;
-    let mut weight_bytes_fetched = 0u64;
-    let mut energy_total = EnergyBreakdown::default();
-    let mut spec_cycles_total = 0u64;
-    let mut executor_cycles_total = 0u64;
-    let mut dram_cycles_total = 0u64;
+    let mut total = StageCost::default();
     for p in partials {
-        split.memory_cycles += p.split.memory_cycles;
-        split.compute_cycles += p.split.compute_cycles;
-        split.speculation_cycles += p.split.speculation_cycles;
-        executed_macs += p.executed_macs;
-        weight_bytes_fetched += p.weight_bytes_fetched;
-        energy_total += p.energy;
-        spec_cycles_total += p.spec_cycles;
-        executor_cycles_total += p.executor_cycles;
-        dram_cycles_total += p.dram_cycles;
+        total += p;
     }
 
     duet_obs::counter!("sim.rnn.steps_simulated").add(trace.steps as u64);
-    duet_obs::counter!("sim.dram.bytes").add(weight_bytes_fetched);
-    duet_obs::counter!("sim.spec.exposed_cycles").add(split.speculation_cycles);
+    duet_obs::counter!("sim.dram.bytes").add(total.fetched_bytes);
+    duet_obs::counter!("sim.spec.exposed_cycles").add(total.split.speculation_cycles);
 
-    let latency = split.total();
-    let dense_macs = (trace.steps * trace.gates) as u64 * rows_per_gate * row_macs;
-    let perf = LayerPerf {
-        name: trace.name.clone(),
-        executor_cycles: executor_cycles_total,
-        speculator_cycles: spec_cycles_total,
-        dram_cycles: dram_cycles_total,
-        latency_cycles: latency,
-        executed_macs,
-        dense_macs,
-        mac_utilization: if executor_cycles_total == 0 {
-            0.0
-        } else {
-            executed_macs as f64 / (executor_cycles_total * config.pe_count() as u64) as f64
-        },
-        energy: energy_total,
-    };
-
+    let dense_macs = (trace.steps * trace.gates) as u64 * rows_per_gate * trace.row_macs();
     RnnRunResult {
-        perf,
-        split,
-        weight_bytes_fetched,
+        perf: total.perf(&trace.name, dense_macs, config),
+        split: total.split,
+        weight_bytes_fetched: total.fetched_bytes,
     }
 }
 

@@ -5,7 +5,7 @@
 //! GEMM) → MFU (activation + threshold compare) → switching maps (+
 //! Reorder Unit for CNNs, Dequantizer for RNN approximate results).
 
-use crate::config::{ArchConfig, SpeculatorConfig};
+use crate::config::ArchConfig;
 use crate::energy::{EnergyBreakdown, EnergyTable};
 use crate::reorder::ReorderUnit;
 use crate::trace::ConvLayerTrace;
@@ -71,7 +71,7 @@ pub fn speculate_conv_layer(
     // post-pass.
     let cycles = add_cycles.max(mac_cycles).max(mfu_cycles) + reorder_cycles;
 
-    let energy_bd = speculator_energy(spec, macs, adds, outputs, trace, energy);
+    let energy_bd = speculator_energy(macs, adds, outputs, trace, energy);
 
     SpeculatorResult {
         cycles,
@@ -128,8 +128,26 @@ pub fn speculate_rnn_gate(
     }
 }
 
+/// Simulates speculation for a GEMV with one student (an FC layer or a
+/// transformer projection has no recurrent input to project): half of
+/// [`speculate_rnn_gate`]'s two-student estimate.
+pub(crate) fn speculate_gemv(
+    outputs: usize,
+    input: usize,
+    reduced_dim: usize,
+    config: &ArchConfig,
+    energy: &EnergyTable,
+) -> SpeculatorResult {
+    let s = speculate_rnn_gate(outputs, input, reduced_dim, config, energy);
+    SpeculatorResult {
+        cycles: s.cycles / 2,
+        macs: s.macs / 2,
+        adds: s.adds / 2,
+        energy: s.energy.scaled(0.5),
+    }
+}
+
 fn speculator_energy(
-    _spec: &SpeculatorConfig,
     macs: u64,
     adds: u64,
     outputs: u64,

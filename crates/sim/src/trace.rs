@@ -246,11 +246,6 @@ impl RnnLayerTrace {
         self.row_macs() * 2
     }
 
-    /// Total weight bytes of the layer (all gates, both matrices).
-    pub fn total_weight_bytes(&self) -> u64 {
-        (self.gates * self.hidden) as u64 * self.row_weight_bytes()
-    }
-
     /// Overall sensitive fraction.
     pub fn sensitive_fraction(&self) -> f64 {
         self.maps.sensitive_count() as f64 / self.maps.len() as f64
@@ -302,7 +297,6 @@ mod tests {
         assert_eq!(t.maps.len(), 4000);
         assert!((t.sensitive_fraction() - 0.3).abs() < 0.05);
         assert_eq!(t.row_macs(), 200);
-        assert_eq!(t.total_weight_bytes(), 400 * 400);
         let s = t.sensitive_rows(0, 0);
         assert!(s <= 100);
     }

@@ -20,10 +20,11 @@
 //! speculation latency.
 
 use crate::config::ArchConfig;
-use crate::energy::{EnergyBreakdown, EnergyTable};
+use crate::energy::EnergyTable;
 use crate::report::LayerPerf;
 use crate::rnn::RnnLatencySplit;
-use crate::speculator::speculate_rnn_gate;
+use crate::speculator::speculate_gemv;
+use crate::stage::{pe_cycles, RowStage, StageCost};
 use duet_core::switching::SwitchingMap;
 use duet_tensor::rng::Rng;
 
@@ -88,7 +89,7 @@ impl TransformerBlockTrace {
         };
         for t in 0..seq_len {
             for stage in 0..STAGES {
-                let (rows, _) = trace.stage_shape(stage, t);
+                let (rows, _) = trace.stage_shape(stage);
                 assert_eq!(
                     trace.stage_map(stage, t).len(),
                     rows,
@@ -149,7 +150,7 @@ impl TransformerBlockTrace {
 
     /// `(rows, macs per row)` of projection stage `stage` (0..6, in
     /// execution order q, k, v, o, expand, contract).
-    fn stage_shape(&self, stage: usize, _position: usize) -> StageShape {
+    fn stage_shape(&self, stage: usize) -> StageShape {
         match stage {
             0..=3 => (self.model, self.model),
             4 => (self.hidden, self.model),
@@ -174,6 +175,16 @@ impl TransformerBlockTrace {
     /// `position + 1` score dot products plus the context blend.
     fn mixer_macs(&self, position: usize) -> u64 {
         2 * (position as u64 + 1) * self.model as u64
+    }
+
+    /// The attention mixer at `position` on the Executor: `position + 1`
+    /// score rows of `model` MACs, then `model` blend rows of
+    /// `position + 1` MACs.
+    fn mixer_cost(&self, position: usize, config: &ArchConfig, energy: &EnergyTable) -> StageCost {
+        let keys = position as u64 + 1;
+        let model = self.model as u64;
+        let cycles = pe_cycles(keys, model, config) + pe_cycles(model, keys, config);
+        StageCost::on_chip(self.mixer_macs(position), cycles, config, energy)
     }
 
     /// Dense-equivalent MACs of the whole block pass, mixer included.
@@ -208,126 +219,46 @@ pub fn run_transformer_block(
     dual: bool,
 ) -> TransformerRunResult {
     let _span = duet_obs::span_lazy("sim.transformer.block", || trace.name.clone());
-
-    let mut split = RnnLatencySplit::default();
-    let mut executed_macs = 0u64;
-    let mut weight_bytes_fetched = 0u64;
-    let mut energy_bd = EnergyBreakdown::default();
-    let mut spec_cycles_total = 0u64;
-    let mut executor_cycles = 0u64;
-    let mut dram_cycles_total = 0u64;
-
+    let mut total = StageCost::default();
     for position in 0..trace.seq_len {
         // Pipeline state resets each position, like the RNN step walk.
         let mut prev_stage_latency = 0u64;
         for stage in 0..STAGES {
-            let (rows, row_macs) = trace.stage_shape(stage, position);
+            let (rows, row_macs) = trace.stage_shape(stage);
             let sensitive = if dual {
                 trace.stage_map(stage, position).sensitive_count() as u64
             } else {
                 rows as u64
             };
-            let row_macs = row_macs as u64;
-            let row_bytes = row_macs * 2;
-
-            let fetch_bytes = sensitive * row_bytes;
-            weight_bytes_fetched += fetch_bytes;
-            let dram_cycles = fetch_bytes.div_ceil(config.dram_bytes_per_cycle as u64);
-
-            let row_batches = sensitive.div_ceil(config.pe_rows as u64);
-            let compute_cycles = row_batches * row_macs.div_ceil(config.pe_cols as u64);
-            executed_macs += sensitive * row_macs;
-            executor_cycles += compute_cycles;
-            dram_cycles_total += dram_cycles;
-
-            // FC-style single-student speculation, hidden behind the
-            // previous stage; the position's first stage is exposed.
-            let (spec_cycles, spec_energy) = if dual {
-                let s =
-                    speculate_rnn_gate(rows, row_macs as usize, trace.reduced_dim, config, energy);
-                (s.cycles / 2, s.energy.scaled(0.5))
-            } else {
-                (0, EnergyBreakdown::default())
-            };
-            spec_cycles_total += spec_cycles;
-            let exposed_spec = spec_cycles.saturating_sub(prev_stage_latency);
-
-            let mut stage_latency = dram_cycles.max(compute_cycles) + exposed_spec;
-            if dram_cycles >= compute_cycles {
-                split.memory_cycles += dram_cycles;
-            } else {
-                split.compute_cycles += compute_cycles;
+            // Single-student speculation, hidden behind the previous
+            // stage; the position's first stage is exposed.
+            let cost = RowStage {
+                rows: sensitive,
+                row_macs: row_macs as u64,
+                fetch_bytes: sensitive * row_macs as u64 * 2,
+                glb_words: (row_macs + rows) as u64,
+                spec: dual
+                    .then(|| speculate_gemv(rows, row_macs, trace.reduced_dim, config, energy)),
+                hidden_behind: prev_stage_latency,
             }
-            split.speculation_cycles += exposed_spec;
-
-            energy_bd += EnergyBreakdown {
-                executor_compute_pj: (sensitive * row_macs) as f64 * energy.mac_int16_pj,
-                executor_rf_pj: (sensitive * row_macs) as f64 * energy.rf_16b_pj,
-                glb_pj: (sensitive * row_macs) as f64 / 16.0 * energy.glb_16b_pj
-                    + (row_macs + rows as u64) as f64 * energy.glb_16b_pj,
-                noc_pj: fetch_bytes as f64 / 2.0 * energy.noc_16b_pj,
-                dram_pj: fetch_bytes as f64 / 2.0 * energy.dram_16b_pj,
-                speculator_pj: 0.0,
-                control_pj: compute_cycles as f64
-                    * config.pe_count() as f64
-                    * energy.control_pj_per_cycle
-                    * 0.1,
-            } + spec_energy;
+            .cost(config, energy);
+            total += cost;
+            prev_stage_latency = cost.latency();
 
             // The mixer runs between the V projection (stage 2) and the
             // output projection (stage 3): dense, weight-free compute on
             // the already-resident Q/K/V activations.
             if stage == 2 {
-                let macs = trace.mixer_macs(position);
-                let keys = position as u64 + 1;
-                let score_cycles = keys.div_ceil(config.pe_rows as u64)
-                    * (trace.model as u64).div_ceil(config.pe_cols as u64);
-                let blend_cycles = (trace.model as u64).div_ceil(config.pe_rows as u64)
-                    * keys.div_ceil(config.pe_cols as u64);
-                let mixer_cycles = score_cycles + blend_cycles;
-                executed_macs += macs;
-                executor_cycles += mixer_cycles;
-                split.compute_cycles += mixer_cycles;
-                stage_latency += mixer_cycles;
-                energy_bd += EnergyBreakdown {
-                    executor_compute_pj: macs as f64 * energy.mac_int16_pj,
-                    executor_rf_pj: macs as f64 * energy.rf_16b_pj,
-                    glb_pj: macs as f64 / 16.0 * energy.glb_16b_pj,
-                    noc_pj: 0.0,
-                    dram_pj: 0.0,
-                    speculator_pj: 0.0,
-                    control_pj: mixer_cycles as f64
-                        * config.pe_count() as f64
-                        * energy.control_pj_per_cycle
-                        * 0.1,
-                };
+                let mixer = trace.mixer_cost(position, config, energy);
+                total += mixer;
+                prev_stage_latency += mixer.latency();
             }
-
-            prev_stage_latency = stage_latency;
         }
     }
-
-    let latency = split.total();
-    let perf = LayerPerf {
-        name: trace.name.clone(),
-        executor_cycles,
-        speculator_cycles: spec_cycles_total,
-        dram_cycles: dram_cycles_total,
-        latency_cycles: latency,
-        executed_macs,
-        dense_macs: trace.dense_macs(),
-        mac_utilization: if executor_cycles == 0 {
-            0.0
-        } else {
-            executed_macs as f64 / (executor_cycles * config.pe_count() as u64) as f64
-        },
-        energy: energy_bd,
-    };
-
     TransformerRunResult {
-        perf,
-        split,
-        weight_bytes_fetched,
+        perf: total.perf(&trace.name, trace.dense_macs(), config),
+        split: total.split,
+        weight_bytes_fetched: total.fetched_bytes,
     }
 }
 

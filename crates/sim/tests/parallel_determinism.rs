@@ -1,4 +1,4 @@
-//! Thread-count determinism and decode-robustness integration tests.
+//! Thread-count determinism integration tests.
 //!
 //! The simulator's parallel paths (`run_cnn_with_threads`,
 //! `run_rnn_layer_with_threads`, `SweepGrid::run_with_threads`) promise
@@ -7,11 +7,6 @@
 //! `map_indexed` returns them in index order, and the serial composition
 //! folds in that fixed order. These tests pin that contract at 1 vs 4
 //! (and a non-power-of-two) threads over the synthetic paper workloads.
-//!
-//! The second half sweeps corrupted trace blobs through the codec:
-//! truncation at every byte boundary, oversized length fields, geometry
-//! mismatches, and invalid UTF-8 must all surface as `DecodeTraceError`
-//! values — never a panic, never a silently wrong trace.
 
 use duet_sim::cnn::run_cnn_with_threads;
 use duet_sim::config::{ArchConfig, ExecutorFeatures};
@@ -19,7 +14,6 @@ use duet_sim::energy::EnergyTable;
 use duet_sim::rnn::{run_rnn_layer_with_threads, run_rnn_with_threads, RnnOptions};
 use duet_sim::sweep::{latency_checksum, SweepGrid, SweepPoint, SweepWorkload};
 use duet_sim::trace::{ConvLayerTrace, RnnLayerTrace};
-use duet_sim::trace_io::{self, DecodeTraceError};
 use duet_tensor::rng::seeded;
 
 fn conv_traces() -> Vec<ConvLayerTrace> {
@@ -135,182 +129,6 @@ fn sweep_cells_and_checksum_are_thread_count_invariant() {
         let parallel = grid.run_with_threads(&energy, threads);
         assert_eq!(serial, parallel, "sweep diverged at {threads} threads");
         assert_eq!(latency_checksum(&serial), latency_checksum(&parallel));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Corrupted-blob sweep: decode must fail loudly, never panic or accept.
-// ---------------------------------------------------------------------
-
-#[test]
-fn truncated_conv_blob_errors_at_every_cut_point() {
-    let blob = trace_io::encode_conv_trace(&conv_traces()[0]);
-    for cut in 0..blob.len() {
-        assert!(
-            trace_io::decode_conv_trace(&blob[..cut]).is_err(),
-            "prefix of {cut}/{} bytes decoded successfully",
-            blob.len()
-        );
-    }
-    assert!(trace_io::decode_conv_trace(&blob).is_ok());
-}
-
-#[test]
-fn truncated_rnn_blob_errors_at_every_cut_point() {
-    let blob = trace_io::encode_rnn_trace(&rnn_traces()[0]);
-    for cut in 0..blob.len() {
-        assert!(
-            trace_io::decode_rnn_trace(&blob[..cut]).is_err(),
-            "prefix of {cut}/{} bytes decoded successfully",
-            blob.len()
-        );
-    }
-    assert!(trace_io::decode_rnn_trace(&blob).is_ok());
-}
-
-/// Byte offset of the first fixed-width field: magic (4) + name length
-/// prefix (4) + name bytes.
-fn fields_offset(name: &str) -> usize {
-    4 + 4 + name.len()
-}
-
-#[test]
-fn oversized_name_length_rejected() {
-    let mut blob = trace_io::encode_conv_trace(&conv_traces()[0]);
-    // Claim the name is far longer than the blob.
-    blob[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(matches!(
-        trace_io::decode_conv_trace(&blob),
-        Err(DecodeTraceError::Truncated)
-    ));
-}
-
-#[test]
-fn tampered_bitmap_length_rejected() {
-    let t = &conv_traces()[0];
-    let mut blob = trace_io::encode_conv_trace(t);
-    // The omap length prefix sits after the 7 fixed 8-byte geometry
-    // fields. Shrinking it leaves a well-formed but inconsistent blob:
-    // the bitmap no longer covers out_channels × positions.
-    let len_off = fields_offset(&t.name) + 7 * 8;
-    let claimed = (t.omap.len() as u64) - 64;
-    blob[len_off..len_off + 8].copy_from_slice(&claimed.to_le_bytes());
-    match trace_io::decode_conv_trace(&blob) {
-        Err(DecodeTraceError::Inconsistent { field, .. }) => {
-            assert_eq!(field, "omap length");
-        }
-        other => panic!("expected Inconsistent, got {other:?}"),
-    }
-}
-
-#[test]
-fn tampered_rnn_hidden_rejected() {
-    let t = &rnn_traces()[0];
-    let mut blob = trace_io::encode_rnn_trace(t);
-    // gates is the first fixed field, hidden the second.
-    let hidden_off = fields_offset(&t.name) + 8;
-    blob[hidden_off..hidden_off + 8].copy_from_slice(&((t.hidden as u64) * 2).to_le_bytes());
-    match trace_io::decode_rnn_trace(&blob) {
-        Err(DecodeTraceError::Inconsistent {
-            field,
-            expected,
-            found,
-        }) => {
-            assert_eq!(field, "maps length");
-            assert_eq!(found, t.maps.len() as u64);
-            assert_eq!(expected, 2 * t.maps.len() as u64);
-        }
-        other => panic!("expected Inconsistent, got {other:?}"),
-    }
-}
-
-#[test]
-fn non_utf8_name_rejected() {
-    let t = &conv_traces()[0];
-    let mut blob = trace_io::encode_conv_trace(t);
-    blob[8] = 0xff; // first name byte: 0xff is never valid UTF-8
-    assert!(matches!(
-        trace_io::decode_conv_trace(&blob),
-        Err(DecodeTraceError::BadUtf8)
-    ));
-}
-
-#[test]
-fn wrong_magic_rejected() {
-    let mut blob = trace_io::encode_rnn_trace(&rnn_traces()[0]);
-    blob[0] ^= 0x5a;
-    assert!(matches!(
-        trace_io::decode_rnn_trace(&blob),
-        Err(DecodeTraceError::BadMagic { .. })
-    ));
-}
-
-// ---------------------------------------------------------------------
-// Byte-mutation fuzz sweep: every single-byte corruption of a valid blob
-// must decode to Err — never a panic, never a silent acceptance. The
-// trailing FNV-1a checksum makes this total: structural validators catch
-// geometry damage, the checksum catches everything else.
-// ---------------------------------------------------------------------
-
-/// Mutates every byte of `blob` through fixed XOR masks plus one seeded
-/// random replacement, feeding each mutant to `decode`. Asserts all
-/// mutants are rejected.
-fn fuzz_every_byte<T: std::fmt::Debug>(
-    blob: &[u8],
-    seed: u64,
-    decode: impl Fn(&[u8]) -> Result<T, DecodeTraceError>,
-) {
-    let mut rng = seeded(seed);
-    for i in 0..blob.len() {
-        let mut mutants: Vec<u8> = [0x01u8, 0x80, 0xff].iter().map(|m| blob[i] ^ m).collect();
-        let random = rng.next_u64() as u8;
-        if random != blob[i] {
-            mutants.push(random);
-        }
-        for v in mutants {
-            let mut m = blob.to_vec();
-            m[i] = v;
-            let out = decode(&m);
-            assert!(
-                out.is_err(),
-                "byte {i} set to 0x{v:02x} decoded successfully: {out:?}"
-            );
-        }
-    }
-    assert!(decode(blob).is_ok(), "pristine blob must still decode");
-}
-
-#[test]
-fn conv_blob_rejects_every_single_byte_mutation() {
-    let t = ConvLayerTrace::synthetic("cv", 6, 9, 16, 64, 0.5, 0.2, 1.0, 8, &mut seeded(60));
-    fuzz_every_byte(
-        &trace_io::encode_conv_trace(&t),
-        61,
-        trace_io::decode_conv_trace,
-    );
-}
-
-#[test]
-fn rnn_blob_rejects_every_single_byte_mutation() {
-    let t = RnnLayerTrace::synthetic("lz", 3, 16, 16, 3, 0.5, &mut seeded(62));
-    fuzz_every_byte(
-        &trace_io::encode_rnn_trace(&t),
-        63,
-        trace_io::decode_rnn_trace,
-    );
-}
-
-/// Length-field oversizing must error cleanly (no OOM from trusting a huge
-/// claimed size): every u64-aligned byte pair in the header region is
-/// blasted to huge values.
-#[test]
-fn oversized_length_fields_never_allocate_unchecked() {
-    let t = ConvLayerTrace::synthetic("cv", 6, 9, 16, 64, 0.5, 0.2, 1.0, 8, &mut seeded(64));
-    let blob = trace_io::encode_conv_trace(&t);
-    for off in (0..blob.len().saturating_sub(8)).step_by(4) {
-        let mut m = blob.to_vec();
-        m[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(trace_io::decode_conv_trace(&m).is_err(), "offset {off}");
     }
 }
 

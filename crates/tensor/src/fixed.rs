@@ -7,6 +7,7 @@
 //! scale by 2¹².
 
 use crate::quantize::{int16_code, int16_scale, narrow_code, narrow_grid, narrow_scale};
+use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -262,6 +263,41 @@ impl Int4Tensor {
         }
     }
 
+    /// Flips each stored bit with probability `rate`, one
+    /// `rng.random_bool(rate)` draw per bit (elements in order, low bit
+    /// first). The flip happens in the packed `bits`-wide word, which is
+    /// sign-extended back, so every value stays inside the tensor's
+    /// range. Returns the corrupted tensor and the number of flipped bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is outside [0, 1].
+    pub fn with_flipped_bits(&self, rate: f64, rng: &mut Rng) -> (Int4Tensor, u64) {
+        let mask: u8 = ((1u16 << self.bits) - 1) as u8;
+        let sign: u8 = 1 << (self.bits - 1);
+        let mut flips = 0u64;
+        let data = self
+            .data
+            .iter()
+            .map(|&v| {
+                let mut w = (v as u8) & mask;
+                for bit in 0..self.bits {
+                    if rng.random_bool(rate) {
+                        w ^= 1 << bit;
+                        flips += 1;
+                    }
+                }
+                if w & sign != 0 {
+                    (w | !mask) as i8
+                } else {
+                    w as i8
+                }
+            })
+            .collect();
+        let flipped = Self::from_raw_with_bits(data, self.scale, self.shape.dims(), self.bits);
+        (flipped, flips)
+    }
+
     /// Integer inner product with another INT4 tensor; result carries the
     /// product of scales. This is exactly what one systolic-array cell chain
     /// computes.
@@ -322,6 +358,18 @@ mod tests {
         for (a, b) in t.data().iter().zip(back.data()) {
             assert!((a - b).abs() <= 0.2, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn full_rate_flips_every_bit_within_the_width() {
+        let t = Int4Tensor::from_raw_with_bits(vec![-8, -1, 0, 7], 0.5, &[4], 4);
+        let mut rng = crate::rng::seeded(1);
+        let (flipped, flips) = t.with_flipped_bits(1.0, &mut rng);
+        assert_eq!(flipped.data(), &[7, 0, -1, -8]);
+        assert_eq!(flips, 16);
+        assert_eq!((flipped.scale(), flipped.bits()), (0.5, 4));
+        let (same, none) = t.with_flipped_bits(0.0, &mut rng);
+        assert_eq!((same, none), (t, 0));
     }
 
     #[test]

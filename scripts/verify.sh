@@ -38,11 +38,28 @@ echo "== cargo test (DUET_NUM_THREADS=4) =="
 # sim suite with a pinned 4-thread fan-out to catch divergence.
 DUET_NUM_THREADS=4 cargo test -q -p duet-sim --offline
 
-echo "== fig10 reproduces =="
-# The conv/MLP/RNN quality exhibit is deterministic, and the committed
-# table comes from the release build above: it must print byte for byte
-# what results/ holds.
-./target/release/fig10_quality_tradeoff | cmp - results/fig10_quality_tradeoff.txt
+echo "== every deterministic exhibit reproduces =="
+# The figure and table exhibits print no timing and no thread count, so
+# each is a pure function of the code, and the committed tables come from
+# the release build above: each must print byte for byte what results/
+# holds. fig10 covers the conv/MLP/RNN quality numbers, the others the
+# simulator's cycle, energy and area models. BENCH_transformer.json (its
+# sim_* fields price the transformer block) and FAULTS.json (its
+# campaign_checksum covers the sweep's RNN and CNN latencies) are
+# rewritten in place, so the committed copies are set aside and compared.
+for exhibit in fig01_sensitivity fig02_insensitive_fraction fig10_quality_tradeoff \
+    fig11_speedup_energy fig11b_sota_comparison fig12a_layerwise_speedup fig12b_utilization \
+    fig12c_latency fig12d_rnn_latency fig12ef_energy_breakdown fig13_dse table1_area ablations \
+    sensitivity_analysis; do
+    ./target/release/$exhibit | cmp - results/$exhibit.txt
+done
+committed=$(mktemp -d)
+cp results/BENCH_transformer.json results/FAULTS.json "$committed"/
+./target/release/transformer_bench >/dev/null
+./target/release/fault_campaign >/dev/null
+cmp "$committed"/BENCH_transformer.json results/BENCH_transformer.json
+cmp "$committed"/FAULTS.json results/FAULTS.json
+rm -rf "$committed"
 
 echo "== telemetry smoke (sim_bench --smoke under DUET_TRACE) =="
 # End-to-end telemetry check: a reduced sweep with metrics + tracing on

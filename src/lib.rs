@@ -15,8 +15,9 @@
 //!   dynamic switching, and dual-module FF/CONV/LSTM/GRU execution
 //!   ([`duet_core`]),
 //! * [`sim`] — the cycle-level DUET accelerator simulator (Executor,
-//!   Speculator, Reorder Unit, GLB/NoC/DRAM) plus baseline accelerators
-//!   ([`duet_sim`]),
+//!   Speculator, Reorder Unit, GLB capacity, and one speculated-GEMV
+//!   stage that prices the DRAM row fetches of FC layers, RNN gates and
+//!   transformer projections) plus baseline accelerators ([`duet_sim`]),
 //! * [`workloads`] — the benchmark model zoo and synthetic dataset
 //!   generators ([`duet_workloads`]),
 //! * [`obs`] — zero-dependency runtime telemetry: metrics registry, RAII
