@@ -143,11 +143,28 @@ pub fn run_conv_layer(
                     row_cycles = sensitive * dense_output_cycles;
                     executed_macs += sensitive * trace.patch_len as u64;
                 } else {
-                    trace.omap.for_each_sensitive_in(lo, hi, |idx| {
-                        let (cycles, macs) = output_cost(ch, idx - lo);
-                        row_cycles += cycles;
-                        executed_macs += macs;
-                    });
+                    // the channel's map words, walked here rather than
+                    // through `for_each_sensitive_in`, whose closure
+                    // must be inlined across crates to keep this fast
+                    let first = lo / 64;
+                    let words = &trace.omap.words()[first..hi.div_ceil(64)];
+                    for (wi, &word) in (first..).zip(words) {
+                        let mut w = word;
+                        if wi == first {
+                            w &= u64::MAX << (lo % 64);
+                        }
+                        let end = wi * 64 + 64;
+                        if end > hi {
+                            w &= u64::MAX >> (end - hi);
+                        }
+                        while w != 0 {
+                            let idx = wi * 64 + w.trailing_zeros() as usize;
+                            let (cycles, macs) = output_cost(ch, idx - lo);
+                            row_cycles += cycles;
+                            executed_macs += macs;
+                            w &= w - 1;
+                        }
+                    }
                 }
             }
             step_max = step_max.max(row_cycles);

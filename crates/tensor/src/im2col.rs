@@ -287,9 +287,10 @@ fn for_each_read_run(
 /// Padding adds only +0.0 entries, which cannot raise a maximum folded
 /// from 0.0, and a pixel read by several patches counts once. A pixel is
 /// read when its row and its column both are, so the scan visits the
-/// read rows' read column runs. At stride 1 every pixel is read; a larger
-/// stride can leave trailing rows and columns (or, past the kernel size,
-/// gaps) unread.
+/// read rows' read column runs, and a run that spans the full width
+/// makes its rows one contiguous slice. At stride 1 every pixel is read;
+/// a larger stride can leave trailing rows and columns (or, past the
+/// kernel size, gaps) unread.
 ///
 /// # Panics
 ///
@@ -302,8 +303,12 @@ pub fn patch_max_abs(input: &Tensor, geom: &ConvGeometry) -> f32 {
     for plane in input.data().chunks_exact(geom.in_h * w) {
         for_each_read_run(geom.in_h, oh, geom.kernel_h, stride, padding, |rows| {
             for_each_read_run(w, ow, geom.kernel_w, stride, padding, |cols| {
-                for iy in rows.clone() {
-                    m = m.max(max_abs(&plane[iy * w..][cols.clone()]));
+                if cols.len() == w {
+                    m = m.max(max_abs(&plane[rows.start * w..rows.end * w]));
+                } else {
+                    for iy in rows.clone() {
+                        m = m.max(max_abs(&plane[iy * w..][cols.clone()]));
+                    }
                 }
             });
         });

@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod datasets;
 pub mod dualize;
 pub mod models;
@@ -33,3 +32,23 @@ pub mod transformer;
 
 pub use models::{ConvShape, ModelZoo, RnnShape};
 pub use sparsity::SparsityCalibration;
+
+/// FNV-1a-64 over the little-endian bits of every parameter value that
+/// `visit` walks, in walk order, with the number of values: one word
+/// that pins a whole training run bit for bit.
+#[cfg(test)]
+pub(crate) fn param_fingerprint(
+    visit: impl FnOnce(&mut dyn FnMut(&mut duet_nn::layer::Param)),
+) -> (usize, u64) {
+    let (mut count, mut h) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    visit(&mut |p| {
+        for v in p.value.data() {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            count += 1;
+        }
+    });
+    (count, h)
+}

@@ -8,7 +8,6 @@
 //! architecture class, a measurable quality metric (token accuracy), and
 //! dual-module processing applied to both recurrent cells.
 
-use crate::checkpoint::{CheckpointError, TrainCheckpoint};
 use duet_core::dual_rnn::{DualLstmCell, RnnThresholds};
 use duet_core::SavingsReport;
 use duet_nn::attention::{attend, attend_backward_self};
@@ -285,76 +284,6 @@ pub fn train_seq2seq(
     model
 }
 
-/// Crash-safe variant of [`train_seq2seq`]: checkpoints to `path` every
-/// `every` completed iterations and, if `path` already holds a
-/// checkpoint, resumes from it instead of starting over.
-///
-/// Resume is **bitwise** exact, exactly as for
-/// [`crate::trainer::train_mlp_with_checkpoints`]: the snapshot carries
-/// the parameters, Adam moments and step counter, and the RNG state;
-/// this trainer has no loop-private state beyond the RNG (task pairs
-/// are sampled fresh each iteration), so `extra` stays empty.
-///
-/// # Errors
-///
-/// [`CheckpointError`] if an existing checkpoint cannot be read, does
-/// not fit this model, or a snapshot cannot be written.
-///
-/// # Panics
-///
-/// Panics if `every == 0`.
-pub fn train_seq2seq_with_checkpoints(
-    task: &ReversalTask,
-    emb: usize,
-    hidden: usize,
-    iterations: usize,
-    r: &mut Rng,
-    path: &std::path::Path,
-    every: usize,
-) -> Result<Seq2Seq, CheckpointError> {
-    assert!(
-        every >= 1,
-        "checkpoint interval must be at least 1 iteration"
-    );
-    let mut model = Seq2Seq::new(task.vocab, emb, hidden, r);
-    let mut opt = Optimizer::adam(0.005);
-    let mut start = 0usize;
-    if path.exists() {
-        let ck = TrainCheckpoint::load(path)?;
-        ck.restore(|f| model.visit_params(f))?;
-        if !ck.extra.is_empty() {
-            return Err(CheckpointError::Mismatch {
-                what: "loop state length",
-                expected: 0,
-                found: ck.extra.len() as u64,
-            });
-        }
-        opt = ck.optimizer.clone();
-        *r = Rng::from_state(ck.rng_state);
-        start = ck.epoch as usize;
-        duet_obs::counter!("workloads.checkpoint.resumes").inc();
-    }
-    for iteration in start..iterations {
-        let _iter_span = duet_obs::span_lazy("workloads.train.window", || {
-            format!("seq2seq/it{iteration}")
-        });
-        let (src, tgt) = task.sample(r);
-        model.train_step(&src, &tgt, &mut opt);
-        if (iteration + 1) % every == 0 {
-            let ck = TrainCheckpoint::capture(
-                (iteration + 1) as u64,
-                opt.clone(),
-                r.state(),
-                vec![],
-                |f| model.visit_params(f),
-            );
-            ck.save(path)?;
-            duet_obs::counter!("workloads.checkpoint.saves").inc();
-        }
-    }
-    Ok(model)
-}
-
 /// A dual-module seq2seq: both recurrent cells distilled, attention and
 /// output head dense.
 #[derive(Debug, Clone)]
@@ -560,51 +489,16 @@ mod tests {
         );
     }
 
-    fn param_bits(model: &mut Seq2Seq) -> Vec<u32> {
-        let mut out = Vec::new();
-        model.visit_params(&mut |p| out.extend(p.value.data().iter().map(|v| v.to_bits())));
-        out
-    }
-
     #[test]
-    fn checkpointed_run_without_checkpoint_matches_plain_training_bitwise() {
-        let dir = std::env::temp_dir().join("duet_ckpt_test_seq2seq_plain");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("seq2seq.ckpt");
-        std::fs::remove_file(&path).ok();
-
+    fn train_seq2seq_keeps_its_bits() {
+        // Golden pin of a whole training run: the fingerprint of every
+        // trained weight, the same at any DUET_NUM_THREADS.
         let task = ReversalTask { vocab: 6, len: 3 };
-        let mut plain = train_seq2seq(&task, 8, 12, 6, &mut seeded(40));
-        let mut ckpt = train_seq2seq_with_checkpoints(&task, 8, 12, 6, &mut seeded(40), &path, 2)
-            .expect("checkpointed run");
-        assert_eq!(param_bits(&mut plain), param_bits(&mut ckpt));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kill_and_resume_reproduces_uninterrupted_weights_bitwise() {
-        let dir = std::env::temp_dir().join("duet_ckpt_test_seq2seq_resume");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("seq2seq.ckpt");
-        std::fs::remove_file(&path).ok();
-
-        let task = ReversalTask { vocab: 6, len: 3 };
-        let mut full = train_seq2seq(&task, 8, 12, 9, &mut seeded(41));
-
-        // "Crash" after 4 iterations: a checkpoint remains on disk.
-        train_seq2seq_with_checkpoints(&task, 8, 12, 4, &mut seeded(41), &path, 1)
-            .expect("interrupted run");
-        // Relaunch with identical arguments; it must resume at iteration 4.
-        let mut resumed =
-            train_seq2seq_with_checkpoints(&task, 8, 12, 9, &mut seeded(41), &path, 1)
-                .expect("resumed run");
-
+        let mut model = train_seq2seq(&task, 8, 12, 9, &mut seeded(41));
         assert_eq!(
-            param_bits(&mut full),
-            param_bits(&mut resumed),
-            "resume must be bitwise identical to the uninterrupted run"
+            crate::param_fingerprint(|f| model.visit_params(f)),
+            (2490, 0xb017_9abc_e411_d63f)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

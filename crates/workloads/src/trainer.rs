@@ -5,7 +5,6 @@
 //! dual-module pipeline is measured end-to-end on genuinely learned
 //! weights, not random ones.
 
-use crate::checkpoint::{CheckpointError, TrainCheckpoint};
 use crate::datasets::{Classification, MarkovText};
 use duet_nn::layer::Param;
 use duet_nn::lstm::LstmState;
@@ -45,91 +44,6 @@ pub fn train_mlp(data: &Classification, hidden: usize, epochs: usize, r: &mut Rn
         }
     }
     net
-}
-
-/// Crash-safe variant of [`train_mlp`]: checkpoints to `path` every
-/// `every` completed epochs and, if `path` already holds a checkpoint,
-/// resumes from it instead of starting over.
-///
-/// Resume is **bitwise** exact: the checkpoint carries the parameters,
-/// the Adam moments and step counter, the RNG state, and the current
-/// sample-order permutation (epochs shuffle it in place, so it is loop
-/// state), and the epoch loop below is the same code as [`train_mlp`].
-/// Killing a run at any epoch boundary and re-invoking with the same
-/// arguments therefore reproduces the uninterrupted run's final weights
-/// exactly.
-///
-/// # Errors
-///
-/// [`CheckpointError`] if an existing checkpoint cannot be read, does not
-/// fit this model, or a snapshot cannot be written.
-///
-/// # Panics
-///
-/// Panics if `every == 0`.
-pub fn train_mlp_with_checkpoints(
-    data: &Classification,
-    hidden: usize,
-    epochs: usize,
-    r: &mut Rng,
-    path: &std::path::Path,
-    every: usize,
-) -> Result<Sequential, CheckpointError> {
-    assert!(every >= 1, "checkpoint interval must be at least 1 epoch");
-    let d = data.inputs.shape().dim(1);
-    let mut net = Sequential::new();
-    net.push_linear(Linear::new(d, hidden, r));
-    net.push_activation(Activation::Relu);
-    net.push_linear(Linear::new(hidden, data.classes, r));
-
-    let mut opt = Optimizer::adam(0.01);
-    let n = data.len();
-    let batch = 32.min(n);
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut start = 0usize;
-    if path.exists() {
-        let ck = TrainCheckpoint::load(path)?;
-        ck.restore(|f| net.visit_params(f))?;
-        if ck.extra.len() != n {
-            return Err(CheckpointError::Mismatch {
-                what: "sample-order length",
-                expected: n as u64,
-                found: ck.extra.len() as u64,
-            });
-        }
-        order = ck.extra.iter().map(|&v| v as usize).collect();
-        opt = ck.optimizer.clone();
-        *r = Rng::from_state(ck.rng_state);
-        start = ck.epoch as usize;
-        duet_obs::counter!("workloads.checkpoint.resumes").inc();
-    }
-    for epoch in start..epochs {
-        let _epoch_span =
-            duet_obs::span_lazy("workloads.train.epoch", || format!("mlp/epoch{epoch}"));
-        r.shuffle(&mut order);
-        for chunk in order.chunks(batch) {
-            let mut x = Tensor::zeros(&[chunk.len(), d]);
-            let mut y = Vec::with_capacity(chunk.len());
-            for (bi, &i) in chunk.iter().enumerate() {
-                x.data_mut()[bi * d..(bi + 1) * d]
-                    .copy_from_slice(&data.inputs.data()[i * d..(i + 1) * d]);
-                y.push(data.labels[i]);
-            }
-            net.train_step(&x, &y, &mut opt);
-        }
-        if (epoch + 1) % every == 0 {
-            let ck = TrainCheckpoint::capture(
-                (epoch + 1) as u64,
-                opt.clone(),
-                r.state(),
-                order.iter().map(|&v| v as u64).collect(),
-                |f| net.visit_params(f),
-            );
-            ck.save(path)?;
-            duet_obs::counter!("workloads.checkpoint.saves").inc();
-        }
-    }
-    Ok(net)
 }
 
 /// Trains a tiny CNN (conv → ReLU → pool → flatten → linear) on image
@@ -532,75 +446,16 @@ mod tests {
         assert!(lm.perplexity(&test) < 12.0 * 0.7);
     }
 
-    fn param_bits(net: &mut Sequential) -> Vec<u32> {
-        let mut out = Vec::new();
-        net.visit_params(&mut |p| out.extend(p.value.data().iter().map(|v| v.to_bits())));
-        out
-    }
-
     #[test]
-    fn checkpointed_run_without_checkpoint_matches_plain_training_bitwise() {
-        let dir = std::env::temp_dir().join("duet_ckpt_test_plain");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("mlp.ckpt");
-        std::fs::remove_file(&path).ok();
-
+    fn train_mlp_keeps_its_bits() {
+        // Golden pin of a whole training run: the fingerprint of every
+        // trained weight, the same at any DUET_NUM_THREADS.
         let train = datasets::gaussian_clusters(4, 16, 96, 5.0, &mut seeded(20));
-        let mut plain = train_mlp(&train, 16, 6, &mut seeded(21));
-        let mut ckpt = train_mlp_with_checkpoints(&train, 16, 6, &mut seeded(21), &path, 2)
-            .expect("checkpointed run");
-        assert_eq!(param_bits(&mut plain), param_bits(&mut ckpt));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kill_and_resume_reproduces_uninterrupted_weights_bitwise() {
-        let dir = std::env::temp_dir().join("duet_ckpt_test_resume");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("mlp.ckpt");
-        std::fs::remove_file(&path).ok();
-
-        let train = datasets::gaussian_clusters(4, 16, 96, 5.0, &mut seeded(22));
-        let mut full = train_mlp(&train, 16, 8, &mut seeded(23));
-
-        // "Crash" after 3 epochs: the run ends with a checkpoint on disk.
-        train_mlp_with_checkpoints(&train, 16, 3, &mut seeded(23), &path, 1)
-            .expect("interrupted run");
-        // Relaunch with identical arguments; it must resume at epoch 3.
-        let mut resumed = train_mlp_with_checkpoints(&train, 16, 8, &mut seeded(23), &path, 1)
-            .expect("resumed run");
-
+        let mut net = train_mlp(&train, 16, 6, &mut seeded(21));
         assert_eq!(
-            param_bits(&mut full),
-            param_bits(&mut resumed),
-            "resume must be bitwise identical to the uninterrupted run"
+            crate::param_fingerprint(|f| net.visit_params(f)),
+            (340, 0xb10b_5ddb_c312_fef5)
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupted_checkpoint_surfaces_typed_error() {
-        use crate::checkpoint::CheckpointError;
-        let dir = std::env::temp_dir().join("duet_ckpt_test_corrupt");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("mlp.ckpt");
-        std::fs::remove_file(&path).ok();
-
-        let train = datasets::gaussian_clusters(3, 8, 48, 5.0, &mut seeded(24));
-        train_mlp_with_checkpoints(&train, 8, 2, &mut seeded(25), &path, 1).expect("seed run");
-
-        let mut bytes = std::fs::read(&path).expect("read checkpoint");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, bytes).expect("rewrite");
-
-        let err = train_mlp_with_checkpoints(&train, 8, 4, &mut seeded(25), &path, 1)
-            .expect_err("corrupt checkpoint must not be accepted");
-        assert!(
-            !matches!(err, CheckpointError::Io(_)),
-            "corruption must surface as a decode error, got {err:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

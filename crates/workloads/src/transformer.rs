@@ -15,7 +15,6 @@
 //! into a [`DualTransformerBlock`]. Embedding, positional table and the
 //! logits head stay dense.
 
-use crate::checkpoint::{CheckpointError, TrainCheckpoint};
 use crate::datasets::MarkovText;
 use duet_core::engine::MacMode;
 use duet_core::{
@@ -354,8 +353,8 @@ impl TransformerLm {
         correct as f64 / steps as f64
     }
 
-    /// Visits all trainable parameters in a fixed order (checkpoint
-    /// layout).
+    /// Visits all trainable parameters in a fixed order (the order the
+    /// optimizer steps them in).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.embed);
         f(&mut self.pos);
@@ -401,75 +400,6 @@ pub fn train_transformer(
         lm.train_step(&seq, &mut opt);
     }
     lm
-}
-
-/// Crash-safe variant of [`train_transformer`]: checkpoints to `path`
-/// every `every` completed windows and, if `path` already holds a
-/// checkpoint, resumes from it instead of starting over.
-///
-/// Resume is **bitwise** exact, exactly as for
-/// [`crate::trainer::train_mlp_with_checkpoints`]: the snapshot carries
-/// the parameters, Adam moments and step counter, and the RNG state;
-/// this trainer has no loop-private state beyond the RNG (windows are
-/// sampled fresh each iteration), so `extra` stays empty.
-///
-/// # Errors
-///
-/// [`CheckpointError`] if an existing checkpoint cannot be read, does
-/// not fit this model, or a snapshot cannot be written.
-///
-/// # Panics
-///
-/// Panics if `every == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn train_transformer_with_checkpoints(
-    source: &MarkovText,
-    model: usize,
-    hidden: usize,
-    ctx: usize,
-    windows: usize,
-    r: &mut Rng,
-    path: &std::path::Path,
-    every: usize,
-) -> Result<TransformerLm, CheckpointError> {
-    assert!(every >= 1, "checkpoint interval must be at least 1 window");
-    let mut lm = TransformerLm::new(source.vocab, model, hidden, ctx, r);
-    let mut opt = Optimizer::adam(0.005);
-    let mut start = 0usize;
-    if path.exists() {
-        let ck = TrainCheckpoint::load(path)?;
-        ck.restore(|f| lm.visit_params(f))?;
-        if !ck.extra.is_empty() {
-            return Err(CheckpointError::Mismatch {
-                what: "loop state length",
-                expected: 0,
-                found: ck.extra.len() as u64,
-            });
-        }
-        opt = ck.optimizer.clone();
-        *r = Rng::from_state(ck.rng_state);
-        start = ck.epoch as usize;
-        duet_obs::counter!("workloads.checkpoint.resumes").inc();
-    }
-    for window in start..windows {
-        let _window_span = duet_obs::span_lazy("workloads.train.window", || {
-            format!("transformer/win{window}")
-        });
-        let seq = source.sample(ctx + 1, r);
-        lm.train_step(&seq, &mut opt);
-        if (window + 1) % every == 0 {
-            let ck = TrainCheckpoint::capture(
-                (window + 1) as u64,
-                opt.clone(),
-                r.state(),
-                vec![],
-                |f| lm.visit_params(f),
-            );
-            ck.save(path)?;
-            duet_obs::counter!("workloads.checkpoint.saves").inc();
-        }
-    }
-    Ok(lm)
 }
 
 /// A dual-module transformer LM: the block's six projections speculate,
@@ -775,51 +705,15 @@ mod tests {
         );
     }
 
-    fn param_bits(lm: &mut TransformerLm) -> Vec<u32> {
-        let mut out = Vec::new();
-        lm.visit_params(&mut |p| out.extend(p.value.data().iter().map(|v| v.to_bits())));
-        out
-    }
-
     #[test]
-    fn checkpointed_run_without_checkpoint_matches_plain_training_bitwise() {
-        let dir = std::env::temp_dir().join("duet_ckpt_test_transformer_plain");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("transformer.ckpt");
-        std::fs::remove_file(&path).ok();
-
+    fn train_transformer_keeps_its_bits() {
+        // Golden pin of a whole training run: the fingerprint of every
+        // trained weight, the same at any DUET_NUM_THREADS.
         let source = datasets::MarkovText::new(8, 2, &mut seeded(30));
-        let mut plain = train_transformer(&source, 12, 16, 6, 8, &mut seeded(31));
-        let mut ckpt =
-            train_transformer_with_checkpoints(&source, 12, 16, 6, 8, &mut seeded(31), &path, 3)
-                .expect("checkpointed run");
-        assert_eq!(param_bits(&mut plain), param_bits(&mut ckpt));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kill_and_resume_reproduces_uninterrupted_weights_bitwise() {
-        let dir = std::env::temp_dir().join("duet_ckpt_test_transformer_resume");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("transformer.ckpt");
-        std::fs::remove_file(&path).ok();
-
-        let source = datasets::MarkovText::new(8, 2, &mut seeded(32));
-        let mut full = train_transformer(&source, 12, 16, 6, 10, &mut seeded(33));
-
-        // "Crash" after 4 windows: the run ends with a checkpoint on disk.
-        train_transformer_with_checkpoints(&source, 12, 16, 6, 4, &mut seeded(33), &path, 1)
-            .expect("interrupted run");
-        // Relaunch with identical arguments; it must resume at window 4.
-        let mut resumed =
-            train_transformer_with_checkpoints(&source, 12, 16, 6, 10, &mut seeded(33), &path, 1)
-                .expect("resumed run");
-
+        let mut lm = train_transformer(&source, 12, 16, 6, 8, &mut seeded(31));
         assert_eq!(
-            param_bits(&mut full),
-            param_bits(&mut resumed),
-            "resume must be bitwise identical to the uninterrupted run"
+            crate::param_fingerprint(|f| lm.visit_params(f)),
+            (1308, 0xf986_2e11_523f_5fe6)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -61,6 +61,16 @@ cmp "$committed"/BENCH_transformer.json results/BENCH_transformer.json
 cmp "$committed"/FAULTS.json results/FAULTS.json
 rm -rf "$committed"
 
+echo "== every example reproduces =="
+# The examples print no timing and write no files, so each output is a
+# pure function of the code too. translation is the only end-to-end run
+# of train_seq2seq and DualSeq2Seq.
+cargo build --release --offline --examples
+for example in quickstart image_classification language_model design_space \
+    accelerator_comparison translation; do
+    ./target/release/examples/$example | cmp - results/examples/$example.txt
+done
+
 echo "== telemetry smoke (sim_bench --smoke under DUET_TRACE) =="
 # End-to-end telemetry check: a reduced sweep with metrics + tracing on
 # must produce a parseable, balanced Chrome trace (trace_check uses the
@@ -184,14 +194,6 @@ echo "== serve determinism test (DUET_NUM_THREADS=4) =="
 # The in-process workers sweep {1,4,7} plus the env-driven path must
 # agree bit for bit when the env pins a different pool width.
 DUET_NUM_THREADS=4 cargo test -q -p duet-serve --offline
-
-echo "== checkpoint kill/resume (bitwise resume + corruption rejection) =="
-# The crash-safe trainer's contract: killing a run at an epoch boundary
-# and resuming reproduces the uninterrupted weights bitwise, and any
-# corrupted checkpoint byte surfaces a typed error, never a panic.
-cargo test -q -p duet-workloads --offline kill_and_resume_reproduces_uninterrupted_weights_bitwise
-cargo test -q -p duet-workloads --offline corrupted_checkpoint_surfaces_typed_error
-cargo test -q -p duet-workloads --offline every_single_byte_corruption_is_rejected
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
