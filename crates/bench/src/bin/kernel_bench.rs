@@ -1,7 +1,8 @@
 //! Serial-vs-parallel kernel timing harness.
 //!
 //! Measures the naive reference, the blocked single-thread kernel, and the
-//! blocked parallel kernel for GEMM/GEMV (plus the fused conv forward) and
+//! blocked parallel kernel for GEMM/GEMV, the transposed GEMV `gemv_t`
+//! against a transposed copy plus `gemv`, and the fused conv forward, and
 //! writes `results/BENCH_kernels.json` with GFLOP/s for each variant. The
 //! headline acceptance number is the 512×512×512 GEMM: on a machine with
 //! ≥4 cores the parallel kernel must beat the serial baseline by ≥2×.
@@ -96,6 +97,41 @@ fn main() {
                 shape: format!("{n}x{d}"),
                 variant,
                 threads: t,
+                flops,
+                m,
+            });
+        }
+    }
+
+    // Transposed GEMV (backprop's Wᵀ·v): the transposed copy plus `gemv`,
+    // against `gemv_t`, which reads W in place (same bits). Shapes: the
+    // transformer LM's projections (16×16, 32×16, 16×32), fig10's LSTM
+    // gate stack W_hh (192×48), and one shape above PAR_MIN_FLOPS.
+    for (n, d) in [
+        (16usize, 16usize),
+        (32, 16),
+        (16, 32),
+        (192, 48),
+        (2048, 2048),
+    ] {
+        let mut r = rng::seeded(14);
+        let w = rng::normal(&mut r, &[n, d], 0.0, 0.1);
+        let v = rng::normal(&mut r, &[n], 0.0, 1.0);
+        let flops = 2 * (n * d) as u64;
+        for variant in ["gemv_of_transpose", "gemv_t"] {
+            let m = bench(&format!("gemv_t/{n}x{d}/{variant}"), || {
+                if variant == "gemv_t" {
+                    ops::gemv_t_with_threads(black_box(&w), black_box(&v), threads)
+                } else {
+                    ops::gemv_with_threads(&black_box(&w).transposed(), black_box(&v), threads)
+                }
+            });
+            println!("{}  {:>8.3} GFLOP/s", m.report(), m.gflops(flops));
+            rows.push(Row {
+                kernel: "gemv_t",
+                shape: format!("{n}x{d}"),
+                variant,
+                threads,
                 flops,
                 m,
             });

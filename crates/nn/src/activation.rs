@@ -73,11 +73,6 @@ impl Activation {
         }
     }
 
-    /// Element-wise derivative at pre-activations `x`.
-    pub fn derivative(self, x: &Tensor) -> Tensor {
-        x.map(|v| self.derivative_scalar(v))
-    }
-
     /// Post-activation error produced by a pre-activation perturbation:
     /// `|φ(x + eps) − φ(x)|`.
     ///

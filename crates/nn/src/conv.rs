@@ -93,11 +93,17 @@ impl Layer for Conv2d {
         let out_len = self.out_channels * oh * ow;
 
         // Fused im2col + GEMM + bias per sample. Parallelism is placed at
-        // the batch level when there are several samples (each worker runs
-        // its GEMM serially to avoid nested thread fan-out); a lone sample
-        // instead gets the full thread budget inside the GEMM itself.
+        // the batch level when there are several samples and the batch
+        // holds at least `ops::PAR_MIN_FLOPS` multiplies (each worker runs
+        // its GEMM serially to avoid nested thread fan-out); otherwise the
+        // samples run in turn, each GEMM with the full thread budget.
         let threads = parallel::num_threads();
-        let batch_threads = threads.min(b);
+        let macs = b * self.out_channels * self.geom.patch_len() * oh * ow;
+        let batch_threads = if macs >= ops::PAR_MIN_FLOPS {
+            threads.min(b)
+        } else {
+            1
+        };
         let gemm_threads = if batch_threads > 1 { 1 } else { threads };
         let geom = &self.geom;
         let weight = &self.weight.value;
@@ -140,6 +146,7 @@ impl Layer for Conv2d {
         let out_len = self.out_channels * oh * ow;
         let in_len = self.geom.in_channels * self.geom.in_h * self.geom.in_w;
         let mut dx = Tensor::zeros(&[b, self.geom.in_channels, self.geom.in_h, self.geom.in_w]);
+        let wt = self.weight.value.transposed();
 
         for bi in 0..b {
             let g = Tensor::from_vec(
@@ -159,7 +166,7 @@ impl Layer for Conv2d {
             }
 
             // dcols[CRS, P] = Wᵀ[CRS, K] · g[K, P]; dx = col2im(dcols)
-            let dcols = ops::matmul(&self.weight.value.transposed(), &g);
+            let dcols = ops::matmul(&wt, &g);
             let dxi = col2im(&dcols, &self.geom);
             dx.data_mut()[bi * in_len..(bi + 1) * in_len].copy_from_slice(dxi.data());
         }

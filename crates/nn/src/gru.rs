@@ -7,7 +7,7 @@
 //! DUET Speculator targets.
 
 use crate::activation::Activation;
-use crate::layer::Param;
+use crate::layer::{outer_accumulate, Param};
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -143,13 +143,13 @@ impl GruCell {
         da_h.data_mut()[h..2 * h].copy_from_slice(da_z.data());
         da_h.data_mut()[2 * h..3 * h].copy_from_slice(d_hn.data());
 
-        crate::lstm::outer_accumulate(&mut self.w_ih.grad, &da_x, &cache.x);
-        crate::lstm::outer_accumulate(&mut self.w_hh.grad, &da_h, &cache.h_prev);
+        outer_accumulate(&mut self.w_ih.grad, da_x.data(), cache.x.data());
+        outer_accumulate(&mut self.w_hh.grad, da_h.data(), cache.h_prev.data());
         ops::axpy(1.0, &da_x, &mut self.b_ih.grad);
         ops::axpy(1.0, &da_h, &mut self.b_hh.grad);
 
-        let dx = ops::gemv(&self.w_ih.value.transposed(), &da_x);
-        let dh_from_gates = ops::gemv(&self.w_hh.value.transposed(), &da_h);
+        let dx = ops::gemv_t(&self.w_ih.value, &da_x);
+        let dh_from_gates = ops::gemv_t(&self.w_hh.value, &da_h);
         ops::axpy(1.0, &dh_from_gates, &mut dh_prev);
         (dx, dh_prev)
     }

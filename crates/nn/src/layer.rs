@@ -46,23 +46,24 @@ impl Param {
 }
 
 /// Accumulates an outer product into a gradient matrix:
-/// `grad[n,d] += a[n] ⊗ b[d]`. Shared by the recurrent cells and any
-/// model doing manual backprop (e.g. the seq2seq head).
+/// `grad[n,d] += a[n] ⊗ b[d]`, skipping rows where `a[i] == 0`. Shared by
+/// the recurrent cells and any model doing manual backprop (the seq2seq
+/// head, the transformer LM); the operands are slices so trace rows need
+/// no copy.
 ///
 /// # Panics
 ///
 /// Panics (debug builds) if `grad.len() != a.len() * b.len()`.
-pub fn outer_accumulate(grad: &mut Tensor, a: &Tensor, b: &Tensor) {
-    let (n, d) = (a.len(), b.len());
-    debug_assert_eq!(grad.len(), n * d, "outer accumulate shape mismatch");
+pub fn outer_accumulate(grad: &mut Tensor, a: &[f32], b: &[f32]) {
+    let d = b.len();
+    debug_assert_eq!(grad.len(), a.len() * d, "outer accumulate shape mismatch");
     let gd = grad.data_mut();
-    for i in 0..n {
-        let av = a.data()[i];
+    for (i, &av) in a.iter().enumerate() {
         if av == 0.0 {
             continue;
         }
         let row = &mut gd[i * d..(i + 1) * d];
-        for (g, &bv) in row.iter_mut().zip(b.data()) {
+        for (g, &bv) in row.iter_mut().zip(b) {
             *g += av * bv;
         }
     }

@@ -7,7 +7,7 @@
 //! matching the paper's §IV-B dataflow description.
 
 use crate::activation::Activation;
-use crate::layer::Param;
+use crate::layer::{outer_accumulate, Param};
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -168,13 +168,13 @@ impl LstmCell {
         da.data_mut()[3 * h..4 * h].copy_from_slice(da_o.data());
 
         // parameter grads: dW_ih += da ⊗ x, dW_hh += da ⊗ h_prev, db += da
-        outer_accumulate(&mut self.w_ih.grad, &da, &cache.x);
-        outer_accumulate(&mut self.w_hh.grad, &da, &cache.h_prev);
+        outer_accumulate(&mut self.w_ih.grad, da.data(), cache.x.data());
+        outer_accumulate(&mut self.w_hh.grad, da.data(), cache.h_prev.data());
         ops::axpy(1.0, &da, &mut self.bias.grad);
 
         // dx = W_ihᵀ da, dh_prev = W_hhᵀ da
-        let dx = ops::gemv(&self.w_ih.value.transposed(), &da);
-        let dh_prev = ops::gemv(&self.w_hh.value.transposed(), &da);
+        let dx = ops::gemv_t(&self.w_ih.value, &da);
+        let dh_prev = ops::gemv_t(&self.w_hh.value, &da);
         (dx, dh_prev, dc_prev)
     }
 
@@ -229,8 +229,6 @@ impl LstmCell {
         self.visit_params(&mut |p| p.zero_grad());
     }
 }
-
-pub(crate) use crate::layer::outer_accumulate;
 
 #[cfg(test)]
 mod tests {

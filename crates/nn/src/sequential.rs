@@ -149,7 +149,11 @@ impl Sequential {
                 Stage::Pool(p) => p.backward(&g),
                 Stage::Act { act, cached_pre } => {
                     let pre = cached_pre.as_ref().expect("backward before forward");
-                    duet_tensor::ops::hadamard(&g, &act.derivative(pre))
+                    assert_eq!(g.shape(), pre.shape(), "activation grad shape mismatch");
+                    for (gv, &p) in g.data_mut().iter_mut().zip(pre.data()) {
+                        *gv *= act.derivative_scalar(p);
+                    }
+                    g
                 }
                 Stage::Flatten { cached_dims } => {
                     let dims = cached_dims.as_ref().expect("backward before forward");

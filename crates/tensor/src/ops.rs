@@ -39,7 +39,9 @@
 //!
 //! Each kernel has one accumulation order at every thread count: the
 //! [`gemv`], [`affine`] and [`dot`] row dots fold from −0.0 in ascending
-//! index, as `f32`'s `Sum` does ([`affine`] adds the bias last), and
+//! index, as `f32`'s `Sum` does ([`affine`] adds the bias last);
+//! [`gemv_t`] folds each output `y[j]` from −0.0 over ascending rows `i`
+//! with no zero skip, so it is bitwise `gemv(&w.transposed(), v)`; and
 //! [`matmul`] accumulates each output over `k` from +0.0 in the order of
 //! [`matmul_naive`]. Rust never contracts `a * b + c` into a fused
 //! multiply-add, so the order fixes the bits on every target. Every
@@ -275,6 +277,74 @@ fn dot_slices(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
+/// Transposed matrix–vector product `y = Wᵀ · v` for `w` of shape
+/// `[n, d]` and `v` of length `n`: `y[j] = Σ_i w[i, j]·v[i]`.
+///
+/// Bitwise `gemv(&w.transposed(), v)` at every thread count, without the
+/// transposed copy: each `y[j]` folds from −0.0 over ascending `i` with no
+/// zero skip (`0·∞` stays NaN), as row axpys that vectorize across `j`.
+/// Above [`PAR_MIN_FLOPS`] work the outputs are striped over threads.
+///
+/// # Panics
+///
+/// Panics if `w` is not 2-D, `v` is not 1-D, or dimensions disagree.
+pub fn gemv_t(w: &Tensor, v: &Tensor) -> Tensor {
+    gemv_t_with_threads(w, v, parallel::num_threads())
+}
+
+/// [`gemv_t`] with an explicit thread-count cap (1 forces serial).
+///
+/// # Panics
+///
+/// Panics on dimension mismatch.
+pub fn gemv_t_with_threads(w: &Tensor, v: &Tensor, threads: usize) -> Tensor {
+    assert_eq!(v.shape().rank(), 1, "gemv_t vector must be 1-D");
+    assert_eq!(w.shape().rank(), 2, "gemv_t matrix must be 2-D");
+    let mut y = Tensor::zeros(&[w.shape().dim(1)]);
+    gemv_t_cols(w, v.data(), y.data_mut(), threads);
+    y
+}
+
+/// [`gemv_t`] into a caller's slice: overwrites `out[j]` with
+/// `Σ_i w[i, j]·v[i]`, the same bits.
+///
+/// # Panics
+///
+/// Panics if `w` is not 2-D or `v`/`out` do not match its rows/columns.
+pub fn gemv_t_into(w: &Tensor, v: &[f32], out: &mut [f32]) {
+    gemv_t_cols(w, v, out, parallel::num_threads());
+}
+
+fn gemv_t_cols(w: &Tensor, vd: &[f32], y: &mut [f32], threads: usize) {
+    assert_eq!(w.shape().rank(), 2, "gemv_t matrix must be 2-D");
+    let (n, d) = (w.shape().dim(0), w.shape().dim(1));
+    assert_eq!(
+        n,
+        vd.len(),
+        "gemv_t dimension mismatch: {} vs [{}]",
+        w.shape(),
+        vd.len()
+    );
+    assert_eq!(d, y.len(), "gemv_t output length mismatch");
+    let threads = if n * d >= PAR_MIN_FLOPS {
+        threads.clamp(1, d)
+    } else {
+        1
+    };
+    duet_obs::counter!("tensor.gemv_t.calls").inc();
+    duet_obs::counter!("tensor.gemv_t.flops").add(2 * (n * d) as u64);
+    let wd = w.data();
+    parallel::for_each_row_chunk(y, d, 1, threads, |cols, chunk| {
+        chunk.fill(-0.0);
+        for (i, &vi) in vd.iter().enumerate() {
+            let wrow = &wd[i * d + cols.start..i * d + cols.end];
+            for (yv, &wv) in chunk.iter_mut().zip(wrow) {
+                *yv += wv * vi;
+            }
+        }
+    });
+}
+
 /// Affine transform `y = W · x + b`, the accurate module of an FF layer.
 /// The bias add is fused into the row loop and parallelized like [`gemv`].
 ///
@@ -293,21 +363,39 @@ pub fn affine(w: &Tensor, x: &Tensor, b: &Tensor) -> Tensor {
 pub fn affine_with_threads(w: &Tensor, x: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     assert_eq!(w.shape().rank(), 2, "affine matrix must be 2-D");
     assert_eq!(x.shape().rank(), 1, "affine vector must be 1-D");
+    let mut y = Tensor::zeros(&[w.shape().dim(0)]);
+    affine_rows(w, x.data(), b.data(), y.data_mut(), threads);
+    y
+}
+
+/// [`affine`] into a caller's slice: overwrites `out` with `W · x + b`
+/// through the same row loop, so with the same bits and counters.
+///
+/// # Panics
+///
+/// Panics if `w` is not 2-D or `x`/`b`/`out` do not match its shape.
+pub fn affine_into(w: &Tensor, x: &[f32], b: &[f32], out: &mut [f32]) {
+    affine_rows(w, x, b, out, parallel::num_threads());
+}
+
+fn affine_rows(w: &Tensor, xd: &[f32], bd: &[f32], y: &mut [f32], threads: usize) {
+    assert_eq!(w.shape().rank(), 2, "affine matrix must be 2-D");
     let (n, d) = (w.shape().dim(0), w.shape().dim(1));
     assert_eq!(
         d,
-        x.len(),
-        "affine dimension mismatch: {} vs {}",
+        xd.len(),
+        "affine dimension mismatch: {} vs [{}]",
         w.shape(),
-        x.shape()
+        xd.len()
     );
     assert_eq!(
         n,
-        b.len(),
+        bd.len(),
         "bias length {} does not match output length {}",
-        b.len(),
+        bd.len(),
         n
     );
+    assert_eq!(n, y.len(), "affine output length mismatch");
     let threads = if n * d >= PAR_MIN_FLOPS {
         threads.clamp(1, n)
     } else {
@@ -315,16 +403,12 @@ pub fn affine_with_threads(w: &Tensor, x: &Tensor, b: &Tensor, threads: usize) -
     };
     duet_obs::counter!("tensor.affine.calls").inc();
     duet_obs::counter!("tensor.affine.flops").add((2 * n * d + n) as u64);
-    let mut y = Tensor::zeros(&[n]);
     let wd = w.data();
-    let xd = x.data();
-    let bd = b.data();
-    parallel::for_each_row_chunk(y.data_mut(), n, 1, threads, |rows, chunk| {
+    parallel::for_each_row_chunk(y, n, 1, threads, |rows, chunk| {
         for (local, i) in rows.enumerate() {
             chunk[local] = dot_slices(&wd[i * d..(i + 1) * d], xd) + bd[i];
         }
     });
-    y
 }
 
 /// Element-wise addition.

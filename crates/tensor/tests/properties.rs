@@ -132,6 +132,89 @@ fn gemv_matches_naive_on_odd_shapes() {
     }
 }
 
+/// `gemv_t` is bitwise `gemv` of the transposed copy at 1, 4 and 7
+/// threads, and so is `gemv_t_into`: each output folds from −0.0 over
+/// ascending rows with no zero skip, so empty folds, signed zeros, ±∞ and
+/// NaN (`0·∞`) come out the same as the copy's row dots.
+#[test]
+fn gemv_t_is_bitwise_gemv_of_the_transpose() {
+    fn bits(y: &[f32]) -> Vec<u32> {
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+    fn check(w: &Tensor, v: &Tensor, what: &str) -> Vec<u32> {
+        let wt = w.transposed();
+        let want = bits(ops::gemv_with_threads(&wt, v, 1).data());
+        for threads in [1usize, 4, 7] {
+            let reference = ops::gemv_with_threads(&wt, v, threads);
+            assert_eq!(
+                bits(reference.data()),
+                want,
+                "{what}: reference, threads {threads}"
+            );
+            let got = ops::gemv_t_with_threads(w, v, threads);
+            assert_eq!(bits(got.data()), want, "{what}: threads {threads}");
+        }
+        let mut into = vec![f32::NAN; w.shape().dim(1)];
+        ops::gemv_t_into(w, v.data(), &mut into);
+        assert_eq!(bits(&into), want, "{what}: into");
+        want
+    }
+    let neg_zero = (-0.0f32).to_bits();
+    let mut r = rng::seeded(3000);
+
+    // n = 0: every output is an empty fold, −0.0.
+    let y = check(&Tensor::zeros(&[0, 5]), &Tensor::zeros(&[0]), "n = 0");
+    assert_eq!(y, vec![neg_zero; 5]);
+    // d = 0: no outputs.
+    assert!(check(&Tensor::zeros(&[4, 0]), &vector(&mut r, 4, 1.0), "d = 0").is_empty());
+    // Every product −0.0 (a −0.0 weight times a positive input, or a +0.0
+    // weight times a negative one): the fold stays −0.0.
+    let w = Tensor::from_vec(vec![-0.0, -0.0, -0.0, 0.0, 0.0, 0.0], &[2, 3]);
+    let v = Tensor::from_vec(vec![2.0, -0.0], &[2]);
+    let y = check(&w, &v, "all −0.0 products");
+    assert_eq!(y, vec![neg_zero; 3]);
+    // ±∞ and NaN: 0·∞ stays NaN (no zero skip), ∞ − ∞ is NaN, a lone ∞
+    // propagates.
+    let mut w = matrix(&mut r, 6, 5, 1.0);
+    let mut v = vector(&mut r, 6, 1.0);
+    w.data_mut()[0] = f32::INFINITY; // column 0, row 0
+    v.data_mut()[0] = 0.0;
+    w.data_mut()[5 + 1] = f32::INFINITY; // column 1: ∞·1 + (−∞)·1
+    w.data_mut()[2 * 5 + 1] = f32::NEG_INFINITY;
+    v.data_mut()[1] = 1.0;
+    v.data_mut()[2] = 1.0;
+    w.data_mut()[3 * 5 + 2] = f32::NAN; // column 2
+    w.data_mut()[4 * 5 + 3] = f32::NEG_INFINITY; // column 3
+    let y = check(&w, &v, "±∞ and NaN");
+    let y: Vec<f32> = y.into_iter().map(f32::from_bits).collect();
+    assert!(y[0].is_nan() && y[1].is_nan() && y[2].is_nan(), "{y:?}");
+    assert!(y[3].is_infinite() && y[4].is_finite(), "{y:?}");
+
+    // Odd shapes, the transformer's projections, and one shape above
+    // PAR_MIN_FLOPS (the only one that fans out).
+    for (si, &(n, d)) in [
+        (1usize, 1usize),
+        (5, 3),
+        (16, 16),
+        (32, 16),
+        (16, 32),
+        (127, 9),
+        (300, 1000),
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert_eq!(n * d >= ops::PAR_MIN_FLOPS, (n, d) == (300, 1000));
+        let mut r = rng::seeded(3100 + si as u64);
+        let mut w = matrix(&mut r, n, d, 1.0);
+        // Exact zeros in both operands: no skip may change a bit.
+        w.data_mut()[0] = 0.0;
+        let mut v = vector(&mut r, n, 1.0);
+        v.data_mut()[n / 2] = 0.0;
+        check(&w, &v, &format!("({n},{d})"));
+    }
+}
+
 /// One vs four threads produce bitwise-identical results for every
 /// parallel kernel (`DUET_NUM_THREADS=1` vs `=4` determinism).
 #[test]

@@ -8,7 +8,9 @@
 //! `*_with_threads(.., {1, 4, 7})` entry points exercise exactly the code
 //! paths that variable selects.
 
-use duet_tensor::ops::{affine_with_threads, gemv_with_threads, matmul_with_threads};
+use duet_tensor::ops::{
+    affine_with_threads, gemv_t_with_threads, gemv_with_threads, matmul_with_threads,
+};
 use duet_tensor::{rng, Tensor};
 
 /// Runs a mixed GEMM/GEMV/affine workload at the given thread count and
@@ -22,6 +24,8 @@ fn run_workload(threads: usize) -> Vec<(&'static str, u64)> {
         "tensor.gemv.flops",
         "tensor.affine.calls",
         "tensor.affine.flops",
+        "tensor.gemv_t.calls",
+        "tensor.gemv_t.flops",
     ];
     let before: Vec<u64> = keys
         .iter()
@@ -41,6 +45,7 @@ fn run_workload(threads: usize) -> Vec<(&'static str, u64)> {
     let bias = rng::normal(&mut r, &[300], 0.0, 1.0);
     let _y = gemv_with_threads(&w, &x, threads);
     let _z = affine_with_threads(&w, &x, &bias, threads);
+    let _t = gemv_t_with_threads(&w, &bias, threads);
 
     keys.iter()
         .zip(before)
@@ -77,4 +82,6 @@ fn counters_sum_identically_across_thread_counts() {
     assert_eq!(get("tensor.gemv.flops"), 2 * 300 * 1000);
     assert_eq!(get("tensor.affine.calls"), 1);
     assert_eq!(get("tensor.affine.flops"), 2 * 300 * 1000 + 300);
+    assert_eq!(get("tensor.gemv_t.calls"), 1);
+    assert_eq!(get("tensor.gemv_t.flops"), 2 * 300 * 1000);
 }

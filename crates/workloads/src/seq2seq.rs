@@ -11,7 +11,7 @@
 use duet_core::dual_rnn::{DualLstmCell, RnnThresholds};
 use duet_core::SavingsReport;
 use duet_nn::attention::{attend, attend_backward_self};
-use duet_nn::layer::Param;
+use duet_nn::layer::{outer_accumulate, Param};
 use duet_nn::loss;
 use duet_nn::lstm::LstmState;
 use duet_nn::{LstmCell, Optimizer};
@@ -162,13 +162,13 @@ impl Seq2Seq {
             let dlogits = dlogits_row.reshaped(&[self.vocab]);
 
             // head backward
-            duet_nn::layer::outer_accumulate(&mut self.w_out.grad, &dlogits, &comb);
+            outer_accumulate(&mut self.w_out.grad, dlogits.data(), comb.data());
             ops::axpy(1.0, &dlogits, &mut self.b_out.grad);
-            let dcomb = ops::gemv(&self.w_out.value.transposed(), &dlogits);
+            let dcomb = ops::gemv_t(&self.w_out.value, &dlogits);
             let dpre = ops::hadamard(&dcomb, &comb.map(|v| 1.0 - v * v));
-            duet_nn::layer::outer_accumulate(&mut self.w_combine.grad, &dpre, &cat);
+            outer_accumulate(&mut self.w_combine.grad, dpre.data(), cat.data());
             ops::axpy(1.0, &dpre, &mut self.b_combine.grad);
-            let dcat = ops::gemv(&self.w_combine.value.transposed(), &dpre);
+            let dcat = ops::gemv_t(&self.w_combine.value, &dpre);
             let dh_part = Tensor::from_vec(dcat.data()[..h].to_vec(), &[h]);
             let dctx = Tensor::from_vec(dcat.data()[h..].to_vec(), &[h]);
 
@@ -277,7 +277,10 @@ pub fn train_seq2seq(
 ) -> Seq2Seq {
     let mut model = Seq2Seq::new(task.vocab, emb, hidden, r);
     let mut opt = Optimizer::adam(0.005);
-    for _ in 0..iterations {
+    for iteration in 0..iterations {
+        let _window_span = duet_obs::span_lazy("workloads.train.window", || {
+            format!("seq2seq/it{iteration}")
+        });
         let (src, tgt) = task.sample(r);
         model.train_step(&src, &tgt, &mut opt);
     }

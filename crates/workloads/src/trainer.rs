@@ -6,7 +6,7 @@
 //! weights, not random ones.
 
 use crate::datasets::{Classification, MarkovText};
-use duet_nn::layer::Param;
+use duet_nn::layer::{outer_accumulate, Param};
 use duet_nn::lstm::LstmState;
 use duet_nn::{
     loss, Activation, Conv2d, GruCell, Linear, LstmCell, MaxPool2d, Optimizer, Sequential,
@@ -225,18 +225,9 @@ impl CharLm {
             total_loss += l;
             let dlogits = dlogits_row.reshaped(&[self.vocab]);
             // dW_out += dlogits ⊗ h ; db_out += dlogits ; dh = W_outᵀ d
-            for i in 0..self.vocab {
-                let dv = dlogits.data()[i];
-                if dv != 0.0 {
-                    let row =
-                        &mut self.w_out.grad.data_mut()[i * self.hidden..(i + 1) * self.hidden];
-                    for (g, &hv) in row.iter_mut().zip(h.data()) {
-                        *g += dv * hv;
-                    }
-                }
-                self.b_out.grad.data_mut()[i] += dv;
-            }
-            dhs.push(ops::gemv(&self.w_out.value.transposed(), &dlogits));
+            outer_accumulate(&mut self.w_out.grad, dlogits.data(), h.data());
+            ops::axpy(1.0, &dlogits, &mut self.b_out.grad);
+            dhs.push(ops::gemv_t(&self.w_out.value, &dlogits));
         }
 
         // BPTT
@@ -456,6 +447,43 @@ mod tests {
             crate::param_fingerprint(|f| net.visit_params(f)),
             (340, 0xb10b_5ddb_c312_fef5)
         );
+    }
+
+    #[test]
+    fn train_cnn_keeps_its_bits() {
+        let train = datasets::shape_images(40, 8, 0.05, &mut seeded(22));
+        let mut net = train_cnn(&train, 4, 2, &mut seeded(23));
+        assert_eq!(
+            crate::param_fingerprint(|f| net.visit_params(f)),
+            (235, 0x093f_3896_746a_c886)
+        );
+    }
+
+    #[test]
+    fn train_deep_cnn_keeps_its_bits() {
+        let train = datasets::shape_images(40, 8, 0.05, &mut seeded(24));
+        let mut net = train_deep_cnn(&train, 3, 2, &mut seeded(25));
+        assert_eq!(
+            crate::param_fingerprint(|f| net.visit_params(f)),
+            (261, 0x72f4_65df_33fa_6550)
+        );
+    }
+
+    #[test]
+    fn train_char_lm_keeps_its_bits() {
+        // Both cells: the LSTM and GRU backward passes and the head's Wᵀ·v.
+        let source = datasets::MarkovText::new(8, 2, &mut seeded(26));
+        for (lstm, want) in [
+            (true, (816, 0xee4c_ff40_aa2f_a6b7)),
+            (false, (676, 0x8e28_fdb5_b9e4_b89c)),
+        ] {
+            let mut lm = train_char_lm(&source, lstm, 6, 10, 6, 12, &mut seeded(27));
+            assert_eq!(
+                crate::param_fingerprint(|f| lm.visit_params(f)),
+                want,
+                "lstm = {lstm}"
+            );
+        }
     }
 
     #[test]

@@ -85,6 +85,26 @@ fn row(t: &Tensor, i: usize, w: usize) -> Tensor {
     Tensor::from_vec(t.data()[i * w..(i + 1) * w].to_vec(), &[w])
 }
 
+/// `acc += x`, element-wise.
+fn add_assign(acc: &mut [f32], x: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += v;
+    }
+}
+
+/// `y = W·x + b` into a trace row, through `ops::affine`'s own row loop.
+fn affine_forward(w: &Param, b: &Param, x: &[f32], y: &mut [f32]) {
+    ops::affine_into(&w.value, x, b.value.data(), y);
+}
+
+/// Backward of [`affine_forward`] at one position: `dW += dy ⊗ x`,
+/// `db += dy`, and `dx = Wᵀ·dy` overwrites `dx`.
+fn affine_backward(w: &mut Param, b: &mut Param, dy: &[f32], x: &[f32], dx: &mut [f32]) {
+    outer_accumulate(&mut w.grad, dy, x);
+    add_assign(b.grad.data_mut(), dy);
+    ops::gemv_t_into(&w.value, dy, dx);
+}
+
 impl TransformerLm {
     /// Creates an untrained model. `ctx` is the maximum window length.
     pub fn new(vocab: usize, model: usize, hidden: usize, ctx: usize, r: &mut Rng) -> Self {
@@ -147,7 +167,8 @@ impl TransformerLm {
     }
 
     /// Dense block forward over one window of input tokens (length ≤
-    /// `ctx`), caching every intermediate.
+    /// `ctx`), caching every intermediate. The affines write straight
+    /// into the trace's rows.
     fn block_forward(&self, tokens_in: &[usize]) -> BlockTrace {
         let (l, m, f) = (tokens_in.len(), self.model, self.hidden);
         assert!(l <= self.ctx, "window longer than context");
@@ -157,12 +178,9 @@ impl TransformerLm {
         let mut v = Tensor::zeros(&[l, m]);
         for (t, &tok) in tokens_in.iter().enumerate() {
             let x_t = self.embed_token(tok, t);
-            q.row_mut(t)
-                .copy_from_slice(ops::affine(&self.wq.value, &x_t, &self.bq.value).data());
-            k.row_mut(t)
-                .copy_from_slice(ops::affine(&self.wk.value, &x_t, &self.bk.value).data());
-            v.row_mut(t)
-                .copy_from_slice(ops::affine(&self.wv.value, &x_t, &self.bv.value).data());
+            affine_forward(&self.wq, &self.bq, x_t.data(), q.row_mut(t));
+            affine_forward(&self.wk, &self.bk, x_t.data(), k.row_mut(t));
+            affine_forward(&self.wv, &self.bv, x_t.data(), v.row_mut(t));
             xs.row_mut(t).copy_from_slice(x_t.data());
         }
         let mut caches = Vec::with_capacity(l);
@@ -173,10 +191,9 @@ impl TransformerLm {
             let keys = Tensor::from_vec(k.data()[..(t + 1) * m].to_vec(), &[t + 1, m]);
             let values = Tensor::from_vec(v.data()[..(t + 1) * m].to_vec(), &[t + 1, m]);
             let (c_t, cache) = attend(&q_t, &keys, &values);
-            let attn = ops::affine(&self.wo.value, &c_t, &self.bo.value);
-            for (i, (av, &xv)) in attn.data().iter().zip(xs.row(t)).enumerate() {
-                a.row_mut(t)[i] = av + xv;
-            }
+            let a_t = a.row_mut(t);
+            affine_forward(&self.wo, &self.bo, c_t.data(), a_t);
+            add_assign(a_t, xs.row(t));
             ctx.row_mut(t).copy_from_slice(c_t.data());
             caches.push(cache);
         }
@@ -184,15 +201,16 @@ impl TransformerLm {
         let mut h = Tensor::zeros(&[l, f]);
         let mut y = Tensor::zeros(&[l, m]);
         for t in 0..l {
-            let a_t = row(&a, t, m);
-            let hp = ops::affine(&self.w1.value, &a_t, &self.b1.value);
-            let hh = Activation::Gelu.apply(&hp);
-            let ffn = ops::affine(&self.w2.value, &hh, &self.b2.value);
-            for (i, (fv, &av)) in ffn.data().iter().zip(a_t.data()).enumerate() {
-                y.row_mut(t)[i] = fv + av;
+            let a_t = a.row(t);
+            affine_forward(&self.w1, &self.b1, a_t, h_pre.row_mut(t));
+            let h_t = h.row_mut(t);
+            h_t.copy_from_slice(h_pre.row(t));
+            for hv in h_t.iter_mut() {
+                *hv = Activation::Gelu.apply_scalar(*hv);
             }
-            h_pre.row_mut(t).copy_from_slice(hp.data());
-            h.row_mut(t).copy_from_slice(hh.data());
+            let y_t = y.row_mut(t);
+            affine_forward(&self.w2, &self.b2, h.row(t), y_t);
+            add_assign(y_t, a_t);
         }
         BlockTrace {
             xs,
@@ -222,72 +240,54 @@ impl TransformerLm {
         let mut dx = Tensor::zeros(&[steps, m]);
         let mut dk_all = Tensor::zeros(&[steps, m]);
         let mut dv_all = Tensor::zeros(&[steps, m]);
+        // Per-position buffers, overwritten at every position.
+        let mut logits = Tensor::zeros(&[1, self.vocab]);
+        let (mut dy, mut da, mut dxq) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+        let mut dh = vec![0.0; f];
+        let mut dctx = Tensor::zeros(&[m]);
         for t in 0..steps {
-            let y_t = row(&trace.y, t, m);
-            let logits = ops::affine(&self.w_out.value, &y_t, &self.b_out.value);
-            let (l, dlogits_row) =
-                loss::cross_entropy(&logits.reshaped(&[1, self.vocab]), &[tokens[t + 1]]);
+            let y_t = trace.y.row(t);
+            affine_forward(&self.w_out, &self.b_out, y_t, logits.data_mut());
+            let (l, dlogits) = loss::cross_entropy(&logits, &[tokens[t + 1]]);
             total_loss += l;
-            let dlogits = dlogits_row.reshaped(&[self.vocab]);
 
             // head backward
-            outer_accumulate(&mut self.w_out.grad, &dlogits, &y_t);
-            ops::axpy(1.0, &dlogits, &mut self.b_out.grad);
-            let dy = ops::gemv(&self.w_out.value.transposed(), &dlogits);
+            let dlogits = dlogits.data();
+            affine_backward(&mut self.w_out, &mut self.b_out, dlogits, y_t, &mut dy);
 
             // FFN backward: y = a + W2·gelu(W1·a + b1) + b2
-            let h_t = row(&trace.h, t, f);
-            let a_t = row(&trace.a, t, m);
-            outer_accumulate(&mut self.w2.grad, &dy, &h_t);
-            ops::axpy(1.0, &dy, &mut self.b2.grad);
-            let dh = ops::gemv(&self.w2.value.transposed(), &dy);
-            let dh_pre = ops::hadamard(&dh, &Activation::Gelu.derivative(&row(&trace.h_pre, t, f)));
-            outer_accumulate(&mut self.w1.grad, &dh_pre, &a_t);
-            ops::axpy(1.0, &dh_pre, &mut self.b1.grad);
-            let mut da = ops::gemv(&self.w1.value.transposed(), &dh_pre);
-            ops::axpy(1.0, &dy, &mut da); // residual 2
+            affine_backward(&mut self.w2, &mut self.b2, &dy, trace.h.row(t), &mut dh);
+            for (d, &hp) in dh.iter_mut().zip(trace.h_pre.row(t)) {
+                *d *= Activation::Gelu.derivative_scalar(hp);
+            }
+            affine_backward(&mut self.w1, &mut self.b1, &dh, trace.a.row(t), &mut da);
+            add_assign(&mut da, &dy); // residual 2
 
             // attention output backward: a = x + Wo·ctx + bo
-            let ctx_t = row(&trace.ctx, t, m);
-            outer_accumulate(&mut self.wo.grad, &da, &ctx_t);
-            ops::axpy(1.0, &da, &mut self.bo.grad);
-            let dctx = ops::gemv(&self.wo.value.transposed(), &da);
+            let ctx_t = trace.ctx.row(t);
+            affine_backward(&mut self.wo, &mut self.bo, &da, ctx_t, dctx.data_mut());
 
             // softmax mixer backward
             let g = attend_backward(&trace.caches[t], &dctx);
-            let x_t = row(&trace.xs, t, m);
-            outer_accumulate(&mut self.wq.grad, &g.d_query, &x_t);
-            ops::axpy(1.0, &g.d_query, &mut self.bq.grad);
-            let dxq = ops::gemv(&self.wq.value.transposed(), &g.d_query);
-            for (i, &gv) in dxq.data().iter().enumerate() {
-                dx.row_mut(t)[i] += gv;
-            }
+            let x_t = trace.xs.row(t);
+            affine_backward(&mut self.wq, &mut self.bq, g.d_query.data(), x_t, &mut dxq);
+            let dx_t = dx.row_mut(t);
+            add_assign(dx_t, &dxq);
             // keys/values of every position ≤ t accumulate across queries
-            for s in 0..=t {
-                for i in 0..m {
-                    dk_all.row_mut(s)[i] += g.d_keys.data()[s * m + i];
-                    dv_all.row_mut(s)[i] += g.d_values.data()[s * m + i];
-                }
-            }
+            add_assign(&mut dk_all.data_mut()[..(t + 1) * m], g.d_keys.data());
+            add_assign(&mut dv_all.data_mut()[..(t + 1) * m], g.d_values.data());
             // residual 1 into x
-            for (i, &gv) in da.data().iter().enumerate() {
-                dx.row_mut(t)[i] += gv;
-            }
+            add_assign(dx_t, &da);
         }
 
         // K/V projection backward + embedding/positional gradients
+        let (mut dxk, mut dxv) = (vec![0.0; m], vec![0.0; m]);
         for (s, &token) in tokens[..steps].iter().enumerate() {
-            let x_s = row(&trace.xs, s, m);
-            let dk_s = row(&dk_all, s, m);
-            outer_accumulate(&mut self.wk.grad, &dk_s, &x_s);
-            ops::axpy(1.0, &dk_s, &mut self.bk.grad);
-            let dxk = ops::gemv(&self.wk.value.transposed(), &dk_s);
-            let dv_s = row(&dv_all, s, m);
-            outer_accumulate(&mut self.wv.grad, &dv_s, &x_s);
-            ops::axpy(1.0, &dv_s, &mut self.bv.grad);
-            let dxv = ops::gemv(&self.wv.value.transposed(), &dv_s);
+            let x_s = trace.xs.row(s);
+            affine_backward(&mut self.wk, &mut self.bk, dk_all.row(s), x_s, &mut dxk);
+            affine_backward(&mut self.wv, &mut self.bv, dv_all.row(s), x_s, &mut dxv);
             for i in 0..m {
-                let g = dx.row(s)[i] + dxk.data()[i] + dxv.data()[i];
+                let g = dx.row(s)[i] + dxk[i] + dxv[i];
                 self.embed.grad.data_mut()[i * self.vocab + token] += g;
                 self.pos.grad.data_mut()[s * m + i] += g;
             }
