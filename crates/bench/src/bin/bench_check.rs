@@ -10,8 +10,11 @@
 //! no baseline is reported as new coverage and passes.
 //!
 //! To accept an intentional change, rerun with
-//! `DUET_BENCH_BASELINE_UPDATE=1`: the current artifacts are copied over
-//! the baselines (commit the diff) and the gate exits 0.
+//! `DUET_BENCH_BASELINE_UPDATE=<artifact>[,<artifact>…]`, for example
+//! `DUET_BENCH_BASELINE_UPDATE=BENCH_kernels.json`: the named current
+//! artifacts, and only those, are copied over their baselines (commit
+//! the diff) and the gate exits 0. Any other value fails and lists the
+//! current artifacts.
 //!
 //! Run with: `cargo run --release -p duet-bench --bin bench_check`
 
@@ -43,12 +46,12 @@ fn bench_artifacts(dir: &str) -> BTreeSet<String> {
     names
 }
 
-fn update_baselines(current: &BTreeSet<String>) -> ExitCode {
+fn update_baselines(names: &BTreeSet<String>) -> ExitCode {
     if let Err(e) = std::fs::create_dir_all(BASELINE_DIR) {
         eprintln!("bench_check: cannot create {BASELINE_DIR}: {e}");
         return ExitCode::FAILURE;
     }
-    for name in current {
+    for name in names {
         let from = Path::new(CURRENT_DIR).join(name);
         let to = Path::new(BASELINE_DIR).join(name);
         match std::fs::copy(&from, &to) {
@@ -65,7 +68,7 @@ fn update_baselines(current: &BTreeSet<String>) -> ExitCode {
     }
     println!(
         "bench_check: {} baseline(s) rewritten — review and commit the diff",
-        current.len()
+        names.len()
     );
     ExitCode::SUCCESS
 }
@@ -74,21 +77,20 @@ fn main() -> ExitCode {
     let baselines = bench_artifacts(BASELINE_DIR);
     let current = bench_artifacts(CURRENT_DIR);
 
-    if std::env::var("DUET_BENCH_BASELINE_UPDATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        if current.is_empty() {
-            eprintln!("bench_check: no {CURRENT_DIR}/BENCH_*.json to promote");
-            return ExitCode::FAILURE;
-        }
-        return update_baselines(&current);
+    if let Some(value) = std::env::var_os("DUET_BENCH_BASELINE_UPDATE") {
+        return match regress::baselines_to_promote(&value.to_string_lossy(), &current) {
+            Ok(names) => update_baselines(&names),
+            Err(e) => {
+                eprintln!("bench_check: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
 
     if baselines.is_empty() {
         eprintln!(
             "bench_check: no baselines under {BASELINE_DIR}/ — \
-             seed them with DUET_BENCH_BASELINE_UPDATE=1"
+             seed them with DUET_BENCH_BASELINE_UPDATE=<artifact>[,<artifact>…]"
         );
         return ExitCode::FAILURE;
     }
@@ -166,7 +168,7 @@ fn main() -> ExitCode {
         }
     }
     for name in current.difference(&baselines) {
-        println!("  new  {name}: no baseline yet (add with DUET_BENCH_BASELINE_UPDATE=1)");
+        println!("  new  {name}: no baseline yet (add with DUET_BENCH_BASELINE_UPDATE={name})");
     }
 
     println!(
@@ -178,7 +180,8 @@ fn main() -> ExitCode {
     if regressions > 0 {
         eprintln!(
             "bench_check: FAILED — if the change is intentional, rerun with \
-             DUET_BENCH_BASELINE_UPDATE=1 and commit the updated baselines"
+             DUET_BENCH_BASELINE_UPDATE=<artifact>[,<artifact>…] naming the changed \
+             artifacts and commit the updated baselines"
         );
         return ExitCode::FAILURE;
     }

@@ -9,11 +9,12 @@
 //! match (exactly for integers/strings/bools, to a tiny relative
 //! tolerance for fractional floats), timing metrics are reported as
 //! informational only. `bench_check` turns the result into a CI exit
-//! code, with `DUET_BENCH_BASELINE_UPDATE=1` as the documented override
-//! for intentional changes.
+//! code, with `DUET_BENCH_BASELINE_UPDATE=<artifact>[,<artifact>…]` as
+//! the documented override for intentional changes
+//! ([`baselines_to_promote`]).
 
 use duet_obs::json::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Metric-name fragments marking a metric as hardware-dependent: never
 /// gated, only reported. Matched against the final path segment,
@@ -189,6 +190,47 @@ pub fn passes(findings: &[Finding]) -> bool {
     findings.iter().all(|f| f.severity != Severity::Regression)
 }
 
+/// The artifacts a `DUET_BENCH_BASELINE_UPDATE` value promotes over
+/// their baselines: a comma-separated list of current artifact names
+/// (`BENCH_kernels.json,BENCH_serve.json`), so refreshing one baseline
+/// never rewrites another. A value naming nothing, or any name with no
+/// current artifact (`1` included), is an error listing the current
+/// artifacts.
+///
+/// # Errors
+///
+/// Returns the message to print when the value names no artifact or a
+/// name is not in `current`.
+pub fn baselines_to_promote(
+    value: &str,
+    current: &BTreeSet<String>,
+) -> Result<BTreeSet<String>, String> {
+    let names: BTreeSet<String> = value
+        .split(',')
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+        .map(str::to_owned)
+        .collect();
+    let unknown: Vec<&str> = names
+        .iter()
+        .filter(|n| !current.contains(*n))
+        .map(String::as_str)
+        .collect();
+    let problem = if names.is_empty() {
+        "names no artifact".to_owned()
+    } else if !unknown.is_empty() {
+        format!("no current artifact {}", unknown.join(", "))
+    } else {
+        return Ok(names);
+    };
+    let listed: Vec<&str> = current.iter().map(String::as_str).collect();
+    Err(format!(
+        "DUET_BENCH_BASELINE_UPDATE={value:?}: {problem}; name the artifacts to promote, \
+         comma-separated, from: {}",
+        listed.join(", ")
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +286,26 @@ mod tests {
         assert!(passes(&compare(&base, &near)));
         let far = parse(r#"{"fraction": 0.3334}"#).unwrap();
         assert!(!passes(&compare(&base, &far)));
+    }
+
+    #[test]
+    fn baseline_update_promotes_only_named_artifacts() {
+        let current: BTreeSet<String> = ["BENCH_kernels.json", "BENCH_sim.json"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let one = baselines_to_promote("BENCH_kernels.json", &current).unwrap();
+        assert_eq!(one.into_iter().collect::<Vec<_>>(), ["BENCH_kernels.json"]);
+        let both = baselines_to_promote(" BENCH_sim.json,BENCH_kernels.json ", &current).unwrap();
+        assert_eq!(both, current);
+        // `1`, an empty list and an unknown name all fail
+        for bad in ["1", "", ",", "BENCH_kernels.json,BENCH_gone.json"] {
+            let err = baselines_to_promote(bad, &current).unwrap_err();
+            assert!(
+                err.contains("BENCH_kernels.json, BENCH_sim.json"),
+                "{bad:?}: {err}"
+            );
+        }
     }
 
     #[test]

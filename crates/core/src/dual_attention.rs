@@ -32,7 +32,6 @@
 
 use crate::dual_proj::{DualProjection, ProjectionCosts};
 use crate::engine::SpeculationEngine;
-use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_nn::attention::attend;
@@ -151,10 +150,9 @@ impl DualAttention {
         engine: &mut SpeculationEngine,
         xs: &Tensor,
         theta_attn: f32,
-        guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, Vec<SwitchingMap>) {
         let mut maps = Vec::new();
-        let out = self.forward_maps_into(engine, xs, theta_attn, guard, &mut maps);
+        let out = self.forward_maps_into(engine, xs, theta_attn, &mut maps);
         (out, maps)
     }
 
@@ -166,7 +164,6 @@ impl DualAttention {
         engine: &mut SpeculationEngine,
         xs: &Tensor,
         theta_attn: f32,
-        mut guard: Option<&mut SpeculationGuard>,
         maps: &mut Vec<SwitchingMap>,
     ) -> Tensor {
         assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
@@ -188,7 +185,7 @@ impl DualAttention {
                 (&self.wv, &mut v_all),
             ] {
                 let out = &mut out[rows.clone()];
-                maps.push(proj.forward_into(engine, &policy, x_t, out, guard.as_deref_mut()));
+                maps.push(proj.forward_into(engine, &policy, x_t, out));
             }
         }
 
@@ -196,13 +193,7 @@ impl DualAttention {
         for t in 0..t_len {
             let ctx = Self::context(&q_all, &k_all, &v_all, t, m);
             let out_t = &mut out.data_mut()[t * m..(t + 1) * m];
-            maps.push(self.wo.forward_into(
-                engine,
-                &policy,
-                ctx.data(),
-                out_t,
-                guard.as_deref_mut(),
-            ));
+            maps.push(self.wo.forward_into(engine, &policy, ctx.data(), out_t));
         }
         out
     }
@@ -314,10 +305,9 @@ impl DualFfn {
         x: &Tensor,
         theta_gelu: f32,
         theta_out: f32,
-        guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, [SwitchingMap; 2]) {
         let mut y = Tensor::zeros(&[self.model_dim()]);
-        let maps = self.forward_into(engine, x.data(), y.data_mut(), theta_gelu, theta_out, guard);
+        let maps = self.forward_into(engine, x.data(), y.data_mut(), theta_gelu, theta_out);
         (y, maps)
     }
 
@@ -333,24 +323,15 @@ impl DualFfn {
         out: &mut [f32],
         theta_gelu: f32,
         theta_out: f32,
-        mut guard: Option<&mut SpeculationGuard>,
     ) -> [SwitchingMap; 2] {
         let mut h = vec![0.0f32; self.hidden_dim()];
-        let m1 = self.expand.forward_into(
-            engine,
-            &SwitchingPolicy::gelu(theta_gelu),
-            x,
-            &mut h,
-            guard.as_deref_mut(),
-        );
+        let m1 = self
+            .expand
+            .forward_into(engine, &SwitchingPolicy::gelu(theta_gelu), x, &mut h);
         gelu_in_place(&mut h);
-        let m2 = self.contract.forward_into(
-            engine,
-            &SwitchingPolicy::magnitude(theta_out),
-            &h,
-            out,
-            guard,
-        );
+        let m2 =
+            self.contract
+                .forward_into(engine, &SwitchingPolicy::magnitude(theta_out), &h, out);
         [m1, m2]
     }
 
@@ -439,28 +420,6 @@ impl DualTransformerBlock {
 
     /// Full dual pass over a `[T, m]` sequence.
     pub fn forward(&self, xs: &Tensor, thresholds: &TransformerThresholds) -> DualBlockOutput {
-        self.forward_impl(xs, thresholds, None)
-    }
-
-    /// [`DualTransformerBlock::forward`] watched by a
-    /// [`SpeculationGuard`]: the guard observes every projection's
-    /// speculation round; tripped under `FallbackDense` the rest of the
-    /// pass runs bitwise-dense.
-    pub fn forward_guarded(
-        &self,
-        xs: &Tensor,
-        thresholds: &TransformerThresholds,
-        guard: &mut SpeculationGuard,
-    ) -> DualBlockOutput {
-        self.forward_impl(xs, thresholds, Some(guard))
-    }
-
-    fn forward_impl(
-        &self,
-        xs: &Tensor,
-        thresholds: &TransformerThresholds,
-        mut guard: Option<&mut SpeculationGuard>,
-    ) -> DualBlockOutput {
         assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
         let (t_len, m) = (xs.shape().dim(0), self.model_dim());
         assert_eq!(xs.shape().dim(1), m, "model dim mismatch");
@@ -468,13 +427,9 @@ impl DualTransformerBlock {
 
         // Four attention maps and two FFN maps per position.
         let mut maps = Vec::with_capacity(6 * t_len);
-        let attn_out = self.attn.forward_maps_into(
-            &mut engine,
-            xs,
-            thresholds.theta_attn,
-            guard.as_deref_mut(),
-            &mut maps,
-        );
+        let attn_out =
+            self.attn
+                .forward_maps_into(&mut engine, xs, thresholds.theta_attn, &mut maps);
 
         // residual 1: a = x + attn(x)
         let mut a = xs.clone();
@@ -493,7 +448,6 @@ impl DualTransformerBlock {
                 &mut y_t,
                 thresholds.theta_gelu,
                 thresholds.theta_ffn_out,
-                guard.as_deref_mut(),
             );
             for (ov, &yv) in out.data_mut()[rows].iter_mut().zip(&y_t) {
                 *ov += yv;
@@ -628,22 +582,6 @@ mod tests {
         assert_eq!(out.report.outputs_total, 0);
         assert_eq!(out.report.flops_reduction(), 1.0);
         assert_eq!(blk.forward_dense(&xs).shape().dims(), &[0, 8]);
-    }
-
-    #[test]
-    fn guard_fallback_runs_block_dense() {
-        use crate::guard::{GuardConfig, SwitchRateBand};
-        let (blk, mut r) = block(5, 8, 16);
-        let xs = rng::normal(&mut r, &[3, 8], 0.0, 1.0);
-        // A band nothing satisfies: the first projection's observation
-        // trips the guard and the whole pass runs dense.
-        let mut guard = SpeculationGuard::new(GuardConfig {
-            trip_after: 1,
-            ..GuardConfig::fallback_dense(SwitchRateBand { lo: 2.0, hi: 3.0 })
-        });
-        let out = blk.forward_guarded(&xs, &TransformerThresholds::uniform(10.0), &mut guard);
-        assert!(guard.is_tripped());
-        assert_eq!(out.output.data(), blk.forward_dense(&xs).data());
     }
 
     #[test]

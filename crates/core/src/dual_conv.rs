@@ -22,7 +22,6 @@
 use crate::approx::ApproxLinear;
 use crate::dual_proj::DualProjection;
 use crate::engine::{MacMode, SpeculationEngine};
-use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_tensor::im2col::{im2col, im2col_into, patch_max_abs, ConvGeometry};
@@ -153,29 +152,6 @@ impl DualConvLayer {
         policy: &SwitchingPolicy,
         imap: Option<&SwitchingMap>,
     ) -> DualConvOutput {
-        self.forward_impl(input, policy, imap, None)
-    }
-
-    /// [`DualConvLayer::forward`] watched by a [`SpeculationGuard`]: a
-    /// tripped guard under `FallbackDense` reroutes the layer through the
-    /// bitwise-dense path (see [`crate::guard`]).
-    pub fn forward_guarded(
-        &self,
-        input: &Tensor,
-        policy: &SwitchingPolicy,
-        imap: Option<&SwitchingMap>,
-        guard: &mut SpeculationGuard,
-    ) -> DualConvOutput {
-        self.forward_impl(input, policy, imap, Some(guard))
-    }
-
-    fn forward_impl(
-        &self,
-        input: &Tensor,
-        policy: &SwitchingPolicy,
-        imap: Option<&SwitchingMap>,
-        guard: Option<&mut SpeculationGuard>,
-    ) -> DualConvOutput {
         if let Some(m) = imap {
             assert_eq!(
                 m.len(),
@@ -198,7 +174,6 @@ impl DualConvLayer {
             &cols,
             spec_cols.as_ref().unwrap_or(&cols),
             imap.is_none(),
-            guard,
         );
 
         // The workloads count the speculated map, before the correction.

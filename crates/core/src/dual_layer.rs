@@ -6,7 +6,6 @@
 use crate::approx::ApproxLinear;
 use crate::dual_proj::DualProjection;
 use crate::engine::{MacMode, SpeculationEngine};
-use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_nn::Activation;
@@ -161,33 +160,12 @@ impl DualModuleLayer {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &Tensor, policy: &SwitchingPolicy) -> DualOutput {
-        self.forward_impl(x, policy, None)
-    }
-
-    /// [`DualModuleLayer::forward`] watched by a [`SpeculationGuard`]: a
-    /// tripped guard under `FallbackDense` reroutes the layer through the
-    /// bitwise-dense path (see [`crate::guard`]).
-    pub fn forward_guarded(
-        &self,
-        x: &Tensor,
-        policy: &SwitchingPolicy,
-        guard: &mut SpeculationGuard,
-    ) -> DualOutput {
-        self.forward_impl(x, policy, Some(guard))
-    }
-
-    fn forward_impl(
-        &self,
-        x: &Tensor,
-        policy: &SwitchingPolicy,
-        guard: Option<&mut SpeculationGuard>,
-    ) -> DualOutput {
         let mut engine = SpeculationEngine::new();
 
         // Speculate → switching map → sparse exact rows over the
         // approximate buffer (Eq. 2 mix) — the single-projection
         // lifecycle, owned by DualProjection.
-        let (pre, map) = self.proj.forward(&mut engine, policy, x, guard);
+        let (pre, map) = self.proj.forward(&mut engine, policy, x);
 
         // Activation on the mixed pre-activations.
         let output = self.activation.apply(&pre);

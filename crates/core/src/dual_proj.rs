@@ -2,11 +2,10 @@
 //!
 //! Every dual-module variant in this crate is, structurally, one or more
 //! speculated GEMVs: an accurate weight matrix `[n, d]` with a bias, a
-//! distilled INT4 approximate module, a [`SpeculationEngine`] call site
-//! and an optional guard hook. `DualProjection` owns that bundle once, so
-//! a layer is only the *composition* of its projections plus whatever
-//! dense glue (activations, gate combines, softmax, im2col) sits between
-//! them:
+//! distilled INT4 approximate module and a [`SpeculationEngine`] call
+//! site. `DualProjection` owns that bundle once, so a layer is only the
+//! *composition* of its projections plus whatever dense glue
+//! (activations, gate combines, softmax, im2col) sits between them:
 //!
 //! * [`crate::DualModuleLayer`] is one projection + an activation,
 //! * [`crate::DualConvLayer`] is one projection batched over im2col
@@ -31,7 +30,6 @@ use crate::distill;
 use crate::engine::{
     EngineCosts, ExecutorWeightBytes, Gather, MacMode, RowKernel, RowSegment, SpeculationEngine,
 };
-use crate::guard::SpeculationGuard;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_tensor::rng::Rng;
 use duet_tensor::Tensor;
@@ -259,9 +257,9 @@ impl DualProjection {
     }
 
     /// The full single-projection lifecycle: speculate, derive the
-    /// switching map (guarded if a guard is given), and overwrite the
-    /// sensitive lanes of the approximate buffer with exact rows
-    /// (Eq. 2 mix). Returns the mixed pre-activations and the map.
+    /// switching map, and overwrite the sensitive lanes of the
+    /// approximate buffer with exact rows (Eq. 2 mix). Returns the mixed
+    /// pre-activations and the map.
     ///
     /// # Panics
     ///
@@ -271,10 +269,9 @@ impl DualProjection {
         engine: &mut SpeculationEngine,
         policy: &SwitchingPolicy,
         x: &Tensor,
-        guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, SwitchingMap) {
         let mut pre = Tensor::zeros(&[self.output_dim()]);
-        let map = self.forward_into(engine, policy, x.data(), pre.data_mut(), guard);
+        let map = self.forward_into(engine, policy, x.data(), pre.data_mut());
         (pre, map)
     }
 
@@ -293,11 +290,10 @@ impl DualProjection {
         policy: &SwitchingPolicy,
         x: &[f32],
         out: &mut [f32],
-        guard: Option<&mut SpeculationGuard>,
     ) -> SwitchingMap {
         assert_eq!(x.len(), self.input_dim(), "input length mismatch");
         engine.approximate(&self.approx, x, out);
-        let map = engine.speculate_guarded(policy, out, guard);
+        let map = engine.speculate_slice(policy, out);
         let segments = [self.segment(x)];
         engine.execute_rows_into(&map, out, 0, self.bias.data(), &segments);
         map
@@ -327,7 +323,6 @@ impl DualProjection {
         cols: &Tensor,
         spec_cols: &Tensor,
         count_skipped: bool,
-        guard: Option<&mut SpeculationGuard>,
     ) -> (Tensor, SwitchingMap) {
         assert_eq!(
             spec_cols.shape(),
@@ -335,7 +330,7 @@ impl DualProjection {
             "speculator matrix shape mismatch"
         );
         let mut pre = self.approx.forward_quantized_columns(spec_cols);
-        let map = engine.speculate_guarded(policy, pre.data(), guard);
+        let map = engine.speculate_slice(policy, pre.data());
         engine.execute_columns_into(
             &map,
             pre.data_mut(),
@@ -422,7 +417,7 @@ mod tests {
             let (proj, mut r) = make_proj(1, mode);
             let x = rng::normal(&mut r, &[40], 0.0, 1.0);
             let mut engine = SpeculationEngine::new();
-            let (pre, map) = proj.forward(&mut engine, &SwitchingPolicy::never_switch(), &x, None);
+            let (pre, map) = proj.forward(&mut engine, &SwitchingPolicy::never_switch(), &x);
             engine.finish(proj.costs().engine_costs());
             assert_eq!(map.sensitive_count(), 24);
             assert_eq!(pre.data(), proj.forward_reference(&x).data());
@@ -435,7 +430,7 @@ mod tests {
         let x = rng::normal(&mut r, &[40], 0.0, 1.0);
         let approx = proj.speculate(&x);
         let mut engine = SpeculationEngine::new();
-        let (pre, map) = proj.forward(&mut engine, &SwitchingPolicy::relu(0.0), &x, None);
+        let (pre, map) = proj.forward(&mut engine, &SwitchingPolicy::relu(0.0), &x);
         engine.finish(proj.costs().engine_costs());
         let exact = proj.forward_reference(&x);
         for i in 0..24 {
@@ -474,36 +469,5 @@ mod tests {
         });
         engine.finish(proj.costs().engine_costs());
         assert_eq!(out, exact.data());
-    }
-
-    #[test]
-    fn guard_fallback_forces_dense_map() {
-        use crate::guard::{GuardConfig, SwitchRateBand};
-        let (proj, mut r) = make_proj(6, MacMode::SkipZeroWeights);
-        let x = rng::normal(&mut r, &[40], 0.0, 1.0);
-        // A band nothing satisfies: first observation trips the guard.
-        let mut guard = SpeculationGuard::new(GuardConfig {
-            trip_after: 1,
-            ..GuardConfig::fallback_dense(SwitchRateBand { lo: 2.0, hi: 3.0 })
-        });
-        let mut engine = SpeculationEngine::new();
-        let (_, m1) = proj.forward(
-            &mut engine,
-            &SwitchingPolicy::relu(f32::INFINITY),
-            &x,
-            Some(&mut guard),
-        );
-        engine.finish(proj.costs().engine_costs());
-        assert!(guard.is_tripped());
-        assert_eq!(m1.sensitive_count(), 24, "tripped guard must run dense");
-        let mut engine = SpeculationEngine::new();
-        let (pre, _) = proj.forward(
-            &mut engine,
-            &SwitchingPolicy::relu(f32::INFINITY),
-            &x,
-            Some(&mut guard),
-        );
-        engine.finish(proj.costs().engine_costs());
-        assert_eq!(pre.data(), proj.forward_reference(&x).data());
     }
 }

@@ -12,7 +12,6 @@
 use crate::approx::ApproxLinear;
 use crate::dual_proj::DualProjection;
 use crate::engine::{MacMode, SpeculationEngine};
-use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_nn::lstm::LstmState;
@@ -170,30 +169,6 @@ impl DualLstmCell {
         state: &LstmState,
         thresholds: &RnnThresholds,
     ) -> DualRnnStepOutput {
-        self.step_impl(x, state, thresholds, None)
-    }
-
-    /// [`DualLstmCell::step`] watched by a [`SpeculationGuard`]: the guard
-    /// observes each gate's speculation round; tripped under
-    /// `FallbackDense` every gate runs bitwise-dense (see
-    /// [`crate::guard`]).
-    pub fn step_guarded(
-        &self,
-        x: &Tensor,
-        state: &LstmState,
-        thresholds: &RnnThresholds,
-        guard: &mut SpeculationGuard,
-    ) -> DualRnnStepOutput {
-        self.step_impl(x, state, thresholds, Some(guard))
-    }
-
-    fn step_impl(
-        &self,
-        x: &Tensor,
-        state: &LstmState,
-        thresholds: &RnnThresholds,
-        mut guard: Option<&mut SpeculationGuard>,
-    ) -> DualRnnStepOutput {
         assert_eq!(x.len(), self.input, "input length mismatch");
         assert_eq!(state.h.len(), self.hidden, "state length mismatch");
         let h = self.hidden;
@@ -214,7 +189,7 @@ impl DualLstmCell {
         let mut gate_maps = Vec::with_capacity(4);
         for (gi, policy) in policies.iter().enumerate() {
             let gate = &a.data()[gi * h..(gi + 1) * h];
-            let map = engine.speculate_guarded(policy, gate, guard.as_deref_mut());
+            let map = engine.speculate_slice(policy, gate);
             // A weight row is fetched only when its gate lane is
             // sensitive. Gate lane `r` maps to weight/bias row
             // `gi * h + r`; the two projections' segments chain
@@ -351,30 +326,6 @@ impl DualGruCell {
         h_prev: &Tensor,
         thresholds: &RnnThresholds,
     ) -> DualRnnStepOutput {
-        self.step_impl(x, h_prev, thresholds, None)
-    }
-
-    /// [`DualGruCell::step`] watched by a [`SpeculationGuard`]: the guard
-    /// observes each gate's speculation round; tripped under
-    /// `FallbackDense` every gate runs bitwise-dense (see
-    /// [`crate::guard`]).
-    pub fn step_guarded(
-        &self,
-        x: &Tensor,
-        h_prev: &Tensor,
-        thresholds: &RnnThresholds,
-        guard: &mut SpeculationGuard,
-    ) -> DualRnnStepOutput {
-        self.step_impl(x, h_prev, thresholds, Some(guard))
-    }
-
-    fn step_impl(
-        &self,
-        x: &Tensor,
-        h_prev: &Tensor,
-        thresholds: &RnnThresholds,
-        mut guard: Option<&mut SpeculationGuard>,
-    ) -> DualRnnStepOutput {
         assert_eq!(x.len(), self.input, "input length mismatch");
         assert_eq!(h_prev.len(), self.hidden, "state length mismatch");
         let h = self.hidden;
@@ -396,7 +347,7 @@ impl DualGruCell {
             for (i, p) in pre.iter_mut().enumerate() {
                 *p = ax.data()[gi * h + i] + ah.data()[gi * h + i];
             }
-            let map = engine.speculate_guarded(&policy, &pre, guard.as_deref_mut());
+            let map = engine.speculate_slice(&policy, &pre);
             let (axd, ahd) = (ax.data_mut(), ah.data_mut());
             engine.execute(&map, |rr, kernel| {
                 let row = gi * h + rr;
@@ -413,7 +364,7 @@ impl DualGruCell {
             *p = ax.data()[2 * h + i] + r_gate * ah.data()[2 * h + i];
         }
         let n_policy = SwitchingPolicy::tanh(thresholds.theta_tanh);
-        let n_map = engine.speculate_guarded(&n_policy, &pre, guard);
+        let n_map = engine.speculate_slice(&n_policy, &pre);
         let (axd, ahd) = (ax.data_mut(), ah.data_mut());
         engine.execute(&n_map, |rr, kernel| {
             let row = 2 * h + rr;

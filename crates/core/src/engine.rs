@@ -27,7 +27,6 @@
 //! [`SpeculationEngine::finish`].
 
 use crate::approx::ApproxLinear;
-use crate::guard::{DegradationPolicy, SpeculationGuard};
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
 use duet_tensor::Tensor;
@@ -342,74 +341,13 @@ impl SpeculationEngine {
     /// pre-activations (Eq. 3) and accounts for its outputs and packed
     /// GLB footprint.
     pub fn speculate(&mut self, policy: &SwitchingPolicy, y_approx: &Tensor) -> SwitchingMap {
-        self.speculate_guarded(policy, y_approx.data(), None)
+        self.speculate_slice(policy, y_approx.data())
     }
 
-    /// [`SpeculationEngine::speculate`] watched by an optional
-    /// [`SpeculationGuard`]: feeds the approximate pre-activations and the
-    /// raw policy map's insensitive fraction to the guard, and — if the
-    /// guard is tripped under [`DegradationPolicy::FallbackDense`] —
-    /// replaces the map with the all-sensitive fallback so the layer runs
-    /// bitwise-dense. This is the single call site for all `core.guard.*`
-    /// telemetry.
-    ///
-    /// Without a guard, or with [`DegradationPolicy::Off`], this is
-    /// exactly [`SpeculationEngine::speculate`]: no checks, no counters,
-    /// no guard state changes.
-    pub fn speculate_guarded(
-        &mut self,
-        policy: &SwitchingPolicy,
-        y_approx: &[f32],
-        guard: Option<&mut SpeculationGuard>,
-    ) -> SwitchingMap {
-        let raw = policy.map_slice(y_approx);
-        // A zero-length output says nothing about speculator health: an
-        // empty map's insensitive fraction is a synthetic 0.0 that would
-        // drag the EWMA out of band and trip the guard on degenerate
-        // (e.g. empty-batch) inputs. Nothing to observe — skip the guard.
-        let guard = match guard {
-            Some(g) if !matches!(g.config().policy, DegradationPolicy::Off) && !raw.is_empty() => g,
-            _ => {
-                self.account_map(&raw);
-                return raw;
-            }
-        };
-        let nonfinite = y_approx.iter().any(|v| !v.is_finite());
-        let was_tripped = guard.is_tripped();
-        let obs = guard.observe(nonfinite, raw.insensitive_fraction());
-
-        duet_obs::counter!("core.guard.checks").inc();
-        if obs.nonfinite {
-            duet_obs::counter!("core.guard.nonfinite").inc();
-        }
-        if obs.anomalous {
-            duet_obs::counter!("core.guard.anomalies").inc();
-        }
-        if obs.newly_tripped {
-            duet_obs::counter!("core.guard.trips").inc();
-            duet_obs::event::emit_scoped(
-                duet_obs::event::EventKind::GuardTrip,
-                0,
-                u64::MAX,
-                u64::from(obs.nonfinite),
-                guard.ewma().unwrap_or(0.0),
-            );
-        } else if was_tripped && !guard.is_tripped() {
-            duet_obs::event::emit_scoped(
-                duet_obs::event::EventKind::GuardClear,
-                0,
-                u64::MAX,
-                0,
-                guard.ewma().unwrap_or(0.0),
-            );
-        }
-
-        let map = if obs.fallback {
-            duet_obs::counter!("core.guard.fallback_maps").inc();
-            SwitchingMap::all_sensitive(raw.len())
-        } else {
-            raw
-        };
+    /// [`SpeculationEngine::speculate`] over a slice — what every layer
+    /// calls on its approximate buffer.
+    pub fn speculate_slice(&mut self, policy: &SwitchingPolicy, y_approx: &[f32]) -> SwitchingMap {
+        let map = policy.map_slice(y_approx);
         self.account_map(&map);
         map
     }
@@ -706,33 +644,6 @@ mod tests {
         assert_eq!(report.outputs_total, 4);
         assert_eq!(report.outputs_exact, 2);
         assert_eq!(report.executor_weight_bytes, 0, "no dot() ⇒ no words");
-    }
-
-    #[test]
-    fn zero_length_output_does_not_move_the_guard() {
-        use crate::guard::{GuardConfig, SpeculationGuard, SwitchRateBand};
-        // A band whose floor is above 0.0: an empty map's synthetic 0.0
-        // insensitive fraction would read as out-of-band if observed.
-        let cfg = GuardConfig {
-            ewma_alpha: 1.0,
-            ..GuardConfig::fallback_dense(SwitchRateBand { lo: 0.2, hi: 0.8 })
-        };
-        let mut guard = SpeculationGuard::new(cfg);
-        for _ in 0..10 {
-            let mut e = SpeculationEngine::new();
-            let map = e.speculate_guarded(&SwitchingPolicy::relu(0.0), &[], Some(&mut guard));
-            assert!(map.is_empty());
-        }
-        assert!(!guard.is_tripped());
-        assert_eq!(guard.stats().checks, 0, "empty outputs are not observed");
-        assert_eq!(guard.ewma(), None);
-        // a healthy non-empty observation afterwards behaves as if the
-        // empty rounds never happened
-        let mut e = SpeculationEngine::new();
-        let y = Tensor::from_vec(vec![-1.0, -2.0, 3.0, 4.0], &[4]);
-        e.speculate_guarded(&SwitchingPolicy::relu(0.0), y.data(), Some(&mut guard));
-        assert!(!guard.is_tripped());
-        assert_eq!(guard.stats().checks, 1);
     }
 
     #[test]

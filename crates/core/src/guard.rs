@@ -1,46 +1,30 @@
-//! Speculation watchdog: graceful degradation when the Speculator
-//! misbehaves.
+//! Speculation watchdog: when to stop trusting the Speculator.
 //!
 //! DUET's resilience argument (§II) is structural: the approximate module
 //! only *steers* execution, and every sensitive output is recomputed
 //! exactly — so a broken Speculator should cost efficiency, never
-//! correctness. That argument has a hole in deployment: a collapsed
-//! approximate module (non-finite outputs from corrupted QDR weights, or a
-//! switch rate drifted far outside the calibrated operating band) silently
-//! degrades *quality* because the insensitive outputs keep its garbage
-//! values. This module closes the hole with a per-layer watchdog:
+//! correctness. Within a layer the switching rule keeps that promise on
+//! its own: each rule is a negated comparison, so a NaN pre-activation
+//! stays sensitive and is recomputed ([`crate::SwitchingPolicy::map_slice`]).
+//! What a layer cannot see is a Speculator that has drifted: a switch
+//! rate far outside the calibrated operating band silently trades
+//! quality for skipped work. This module detects that across
+//! invocations:
 //!
-//! * **non-finite detection** — any NaN/∞ in the approximate
-//!   pre-activations trips the guard immediately;
-//! * **switch-rate anomaly detection** — an EWMA of the per-invocation
+//! * **non-finite detection** — a non-finite output trips the guard
+//!   immediately;
+//! * **switch-rate anomaly detection** — an EWMA of the per-observation
 //!   insensitive fraction is compared against the calibrated band (see
 //!   [`crate::calibration::Calibration::insensitive_band`]); a sustained
 //!   excursion trips the guard;
-//! * **graceful degradation** — a tripped layer under
-//!   [`DegradationPolicy::FallbackDense`] reroutes through the existing
-//!   bitwise-dense path by forcing an all-sensitive switching map, so the
-//!   Executor recomputes every output exactly. Recovery is hysteretic: the
-//!   guard keeps observing the *raw* policy map while tripped and clears
-//!   only after a run of healthy observations.
+//! * **hysteresis** — a tripped guard keeps observing the *raw* policy
+//!   map's fraction and clears only after a run of healthy
+//!   observations.
 //!
-//! The guard is caller-owned and long-lived (one per layer/cell), threaded
-//! into [`crate::SpeculationEngine::speculate_guarded`] — the single call
-//! site that also emits all `core.guard.*` telemetry. With
-//! [`DegradationPolicy::Off`] the guarded path is byte-for-byte the
-//! unguarded one.
-
-/// What a tripped guard does to the layer it watches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradationPolicy {
-    /// Watchdog disabled: no checks, no telemetry, bitwise identical to
-    /// the unguarded path.
-    Off,
-    /// Detect and count anomalies/trips but never alter execution.
-    WarnOnly,
-    /// On trip, force an all-sensitive switching map so the layer runs
-    /// bitwise-dense until the guard clears.
-    FallbackDense,
-}
+//! The guard only decides; its owner acts on the decision. The serving
+//! replica (`duet_serve::replica::Replica`) owns one, feeds it each
+//! batch's outputs and raw switch rate, and serves its batches through
+//! the never-switch path while it is tripped.
 
 /// The calibrated operating band for a layer's insensitive fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +51,6 @@ impl SwitchRateBand {
 /// Tuning knobs of the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
-    /// What a trip does.
-    pub policy: DegradationPolicy,
     /// Healthy band for the EWMA of the insensitive fraction.
     pub band: SwitchRateBand,
     /// EWMA smoothing factor in (0, 1]; 1.0 means no smoothing.
@@ -81,33 +63,15 @@ pub struct GuardConfig {
 }
 
 impl GuardConfig {
-    /// A disabled guard.
-    pub fn off() -> Self {
+    /// Default watchdog over `band`; its owner serves dense while it is
+    /// tripped.
+    pub fn fallback_dense(band: SwitchRateBand) -> Self {
         Self {
-            policy: DegradationPolicy::Off,
-            band: SwitchRateBand::any(),
+            band,
             ewma_alpha: 0.2,
             trip_after: 3,
             clear_after: 8,
         }
-    }
-
-    /// Default watchdog with dense fallback over `band`.
-    pub fn fallback_dense(band: SwitchRateBand) -> Self {
-        Self {
-            policy: DegradationPolicy::FallbackDense,
-            ..Self::off()
-        }
-        .with_band(band)
-    }
-
-    /// Default watchdog that only counts anomalies over `band`.
-    pub fn warn_only(band: SwitchRateBand) -> Self {
-        Self {
-            policy: DegradationPolicy::WarnOnly,
-            ..Self::off()
-        }
-        .with_band(band)
     }
 
     /// Replaces the healthy band.
@@ -120,33 +84,22 @@ impl GuardConfig {
 /// Running counters of one guard (monotonic over its lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
-    /// Observations made (one per guarded `speculate`).
+    /// Observations made (one per [`SpeculationGuard::observe`]).
     pub checks: u64,
-    /// Observations containing a non-finite approximate pre-activation.
-    pub nonfinite: u64,
-    /// Observations flagged anomalous (non-finite or out-of-band EWMA).
-    pub anomalies: u64,
     /// Healthy→tripped transitions.
     pub trips: u64,
-    /// Switching maps replaced by the all-sensitive fallback map.
-    pub fallback_maps: u64,
 }
 
-/// What one observation decided; consumed by the engine to build the map
-/// and emit telemetry.
+/// What one observation decided; its owner emits the trip event.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardObservation {
-    /// This observation was anomalous.
-    pub anomalous: bool,
-    /// The approximate pre-activations contained a non-finite value.
+    /// The observation carried a non-finite value.
     pub nonfinite: bool,
     /// The guard transitioned healthy→tripped on this observation.
     pub newly_tripped: bool,
-    /// The switching map must be replaced by the all-sensitive fallback.
-    pub fallback: bool,
 }
 
-/// Per-layer speculation watchdog. See the module docs for semantics.
+/// One speculation watchdog. See the module docs for semantics.
 #[derive(Debug, Clone)]
 pub struct SpeculationGuard {
     config: GuardConfig,
@@ -168,11 +121,6 @@ impl SpeculationGuard {
             tripped: false,
             stats: GuardStats::default(),
         }
-    }
-
-    /// The guard's configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
     }
 
     /// Whether the guard is currently tripped.
@@ -211,21 +159,10 @@ impl SpeculationGuard {
         self.stats.trips += 1;
     }
 
-    /// Clears the trip state and streaks (counters are kept).
-    pub fn reset(&mut self) {
-        self.ewma = None;
-        self.anomalous_streak = 0;
-        self.healthy_streak = 0;
-        self.tripped = false;
-    }
-
-    /// Feeds one layer invocation into the watchdog: whether the
-    /// approximate pre-activations contained a non-finite value, and the
-    /// *raw* policy map's insensitive fraction (pre-override, so a tripped
-    /// guard can observe recovery).
-    ///
-    /// Called by [`crate::SpeculationEngine::speculate_guarded`]; exposed
-    /// for tests and custom integrations.
+    /// Feeds one observation into the watchdog: whether the observed
+    /// outputs contained a non-finite value, and the *raw* policy map's
+    /// insensitive fraction (what the policy chose, not what ran, so a
+    /// tripped guard can observe recovery).
     pub fn observe(&mut self, nonfinite: bool, insensitive_fraction: f64) -> GuardObservation {
         self.stats.checks += 1;
 
@@ -247,9 +184,8 @@ impl SpeculationGuard {
         if anomalous {
             self.anomalous_streak = self.anomalous_streak.saturating_add(1);
             self.healthy_streak = 0;
-            // A non-finite Speculator output would corrupt kept values
-            // directly — trip immediately rather than waiting out a
-            // streak.
+            // A non-finite output would corrupt kept values directly —
+            // trip immediately rather than waiting out a streak.
             if nonfinite || self.anomalous_streak >= self.config.trip_after {
                 self.tripped = true;
             }
@@ -263,26 +199,12 @@ impl SpeculationGuard {
         }
 
         let newly_tripped = self.tripped && !was_tripped;
-        if nonfinite {
-            self.stats.nonfinite += 1;
-        }
-        if anomalous {
-            self.stats.anomalies += 1;
-        }
         if newly_tripped {
             self.stats.trips += 1;
         }
-        let fallback =
-            self.tripped && matches!(self.config.policy, DegradationPolicy::FallbackDense);
-        if fallback {
-            self.stats.fallback_maps += 1;
-        }
-
         GuardObservation {
-            anomalous,
             nonfinite,
             newly_tripped,
-            fallback,
         }
     }
 }
@@ -299,10 +221,10 @@ mod tests {
     fn nonfinite_trips_immediately() {
         let mut g = SpeculationGuard::new(GuardConfig::fallback_dense(band()));
         let obs = g.observe(true, 0.4);
-        assert!(obs.newly_tripped && obs.fallback && obs.nonfinite);
+        assert!(obs.newly_tripped && obs.nonfinite);
         assert!(g.is_tripped());
         assert_eq!(g.trips(), 1);
-        assert_eq!(g.stats().nonfinite, 1);
+        assert_eq!(g.ewma(), None, "a non-finite round leaves the EWMA alone");
     }
 
     #[test]
@@ -312,12 +234,14 @@ mod tests {
             ..GuardConfig::fallback_dense(band())
         };
         let mut g = SpeculationGuard::new(cfg);
-        assert!(!g.observe(false, 0.95).fallback);
-        assert!(!g.observe(false, 0.95).fallback);
+        assert!(!g.observe(false, 0.95).newly_tripped);
+        assert!(!g.observe(false, 0.95).newly_tripped);
+        assert!(!g.is_tripped());
         let third = g.observe(false, 0.95);
-        assert!(third.newly_tripped && third.fallback);
+        assert!(third.newly_tripped && !third.nonfinite);
+        assert!(g.is_tripped());
         assert_eq!(g.trips(), 1);
-        assert_eq!(g.stats().anomalies, 3);
+        assert_eq!(g.stats().checks, 3);
     }
 
     #[test]
@@ -333,7 +257,7 @@ mod tests {
         }
         assert!(g.is_tripped());
         // one healthy observation is not enough (hysteresis) ...
-        assert!(g.observe(false, 0.4).fallback);
+        g.observe(false, 0.4);
         assert!(g.is_tripped());
         // ... the second clears the trip
         g.observe(false, 0.4);
@@ -347,30 +271,18 @@ mod tests {
     }
 
     #[test]
-    fn warn_only_never_falls_back() {
-        let cfg = GuardConfig {
-            ewma_alpha: 1.0,
-            ..GuardConfig::warn_only(band())
-        };
-        let mut g = SpeculationGuard::new(cfg);
-        let obs = g.observe(true, 0.4);
-        assert!(obs.newly_tripped && !obs.fallback);
-        assert!(g.is_tripped());
-        assert_eq!(g.stats().fallback_maps, 0);
-    }
-
-    #[test]
     fn ewma_smooths_single_excursions() {
         let cfg = GuardConfig {
             ewma_alpha: 0.1,
+            trip_after: 1,
             ..GuardConfig::fallback_dense(band())
         };
         let mut g = SpeculationGuard::new(cfg);
         g.observe(false, 0.4);
-        // one wild observation barely moves the smoothed rate
-        let obs = g.observe(false, 1.0);
-        assert!(!obs.anomalous, "ewma {:?}", g.ewma());
-        assert!(!g.is_tripped());
+        // one wild observation barely moves the smoothed rate, so even a
+        // guard that trips on the first anomaly stays healthy
+        g.observe(false, 1.0);
+        assert!(!g.is_tripped(), "ewma {:?}", g.ewma());
     }
 
     #[test]
@@ -386,19 +298,9 @@ mod tests {
         assert!(g.is_tripped());
         assert_eq!(g.trips(), 1);
         // recovery is the normal healthy-streak clear
-        assert!(g.observe(false, 0.4).fallback);
+        g.observe(false, 0.4);
+        assert!(g.is_tripped());
         g.observe(false, 0.4);
         assert!(!g.is_tripped());
-    }
-
-    #[test]
-    fn reset_keeps_counters() {
-        let mut g = SpeculationGuard::new(GuardConfig::fallback_dense(band()));
-        g.observe(true, 0.4);
-        assert!(g.is_tripped());
-        g.reset();
-        assert!(!g.is_tripped());
-        assert_eq!(g.trips(), 1);
-        assert_eq!(g.ewma(), None);
     }
 }

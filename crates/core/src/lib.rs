@@ -20,9 +20,8 @@
 //! * [`SwitchingPolicy`] / [`SwitchingMap`] — Eq. (2)–(3) dynamic
 //!   switching,
 //! * [`DualProjection`] — one speculated GEMV (weights + INT4
-//!   speculator + engine call site + guard hook), or a batch of them
-//!   over im2col columns; every layer below is a composition of
-//!   projections,
+//!   speculator + engine call site), or a batch of them over im2col
+//!   columns; every layer below is a composition of projections,
 //! * [`DualModuleLayer`], [`DualConvLayer`], [`DualLstmCell`],
 //!   [`DualGruCell`] — dual-module execution for FF, CONV, LSTM and GRU
 //!   layers,
@@ -81,7 +80,7 @@ pub use dual_layer::{DualModuleLayer, DualOutput};
 pub use dual_proj::{DualProjection, ProjectionCosts};
 pub use dual_rnn::{DualGruCell, DualLstmCell};
 pub use engine::SpeculationEngine;
-pub use guard::{DegradationPolicy, GuardConfig, SpeculationGuard, SwitchRateBand};
+pub use guard::{GuardConfig, SpeculationGuard, SwitchRateBand};
 pub use metrics::SavingsReport;
 pub use projection::TernaryProjection;
 pub use switching::{SwitchingMap, SwitchingPolicy};

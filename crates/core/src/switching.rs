@@ -106,7 +106,8 @@ impl SwitchingPolicy {
     /// activation's rule chosen once per call. Each rule is the exact
     /// negation of [`Activation::is_insensitive`], so a NaN (in `y'` or
     /// in θ) stays sensitive.
-    // `!(a < b)` is not `a >= b` for NaN, and the NaN case is the point.
+    // `!(a < b)` is not `a >= b` for NaN, and the NaN case is the point
+    // (pinned by `nan_stays_sensitive_under_every_rule`).
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn map_slice(&self, y_approx: &[f32]) -> SwitchingMap {
         let theta = self.theta;
@@ -639,6 +640,57 @@ mod tests {
         );
         let dense = SwitchingPolicy::magnitude(f32::NEG_INFINITY);
         assert_eq!(dense.map(&y).sensitive_count(), 5);
+    }
+
+    /// The NaN rule: each rule is a negated comparison and every
+    /// comparison with NaN is false, so a NaN y′ is sensitive under all
+    /// five rules and a NaN θ keeps every lane sensitive. The word
+    /// builder `map_slice` agrees lane for lane with the scalar
+    /// `is_sensitive` on the edge values.
+    #[test]
+    fn nan_stays_sensitive_under_every_rule() {
+        let theta = 0.5f32;
+        let edges = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            theta,
+            -theta,
+        ];
+        let rules: [fn(f32) -> SwitchingPolicy; 5] = [
+            SwitchingPolicy::relu,
+            SwitchingPolicy::sigmoid,
+            SwitchingPolicy::tanh,
+            SwitchingPolicy::gelu,
+            SwitchingPolicy::magnitude,
+        ];
+        for rule in rules {
+            let name = rule(theta).activation;
+            for th in [theta, f32::NEG_INFINITY, f32::INFINITY, f32::NAN] {
+                let p = rule(th);
+                assert!(p.is_sensitive(f32::NAN), "{name} θ={th}: NaN y′");
+                // NaN lanes across a word boundary and into a tail word
+                let nans = p.map_slice(&[f32::NAN; 70]);
+                assert_eq!(nans.sensitive_count(), 70, "{name} θ={th}: NaN map");
+                let m = p.map_slice(&edges);
+                for (i, &y) in edges.iter().enumerate() {
+                    assert_eq!(
+                        m.is_sensitive(i),
+                        p.is_sensitive(y),
+                        "{name} θ={th}: map_slice and is_sensitive disagree at y′={y}"
+                    );
+                }
+            }
+            let nan_theta = rule(f32::NAN);
+            assert_eq!(
+                nan_theta.map_slice(&edges).sensitive_count(),
+                edges.len(),
+                "{name}: a NaN θ must keep every lane sensitive"
+            );
+            assert!(edges.iter().all(|&y| nan_theta.is_sensitive(y)), "{name}");
+        }
     }
 
     #[test]

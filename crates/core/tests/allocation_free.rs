@@ -113,13 +113,13 @@ fn warm_projection_forward_into_allocates_only_its_map() {
         let policy = SwitchingPolicy::relu(0.0);
         let mut out = vec![0.0f32; n];
         let mut engine = SpeculationEngine::new();
-        proj.forward_into(&mut engine, &policy, x.data(), &mut out, None);
+        proj.forward_into(&mut engine, &policy, x.data(), &mut out);
         let (map, allocated) =
-            counted(|| proj.forward_into(&mut engine, &policy, x.data(), &mut out, None));
+            counted(|| proj.forward_into(&mut engine, &policy, x.data(), &mut out));
         assert_eq!(map.words().len(), n.div_ceil(64), "n {n}");
         assert_eq!(allocated, want, "n {n}");
         let mut fresh = SpeculationEngine::new();
-        let (pre, fresh_map) = proj.forward(&mut fresh, &policy, &x, None);
+        let (pre, fresh_map) = proj.forward(&mut fresh, &policy, &x);
         assert_eq!((out.as_slice(), &map), (pre.data(), &fresh_map), "n {n}");
     }
 }

@@ -14,8 +14,7 @@
 
 use duet_core::dual_rnn::RnnThresholds;
 use duet_core::{
-    DualConvLayer, DualGruCell, DualLstmCell, DualModuleLayer, GuardConfig, SpeculationGuard,
-    SwitchingMap, SwitchingPolicy,
+    DualConvLayer, DualGruCell, DualLstmCell, DualModuleLayer, SwitchingMap, SwitchingPolicy,
 };
 use duet_nn::lstm::LstmState;
 use duet_nn::{Activation, GruCell, LstmCell};
@@ -178,79 +177,6 @@ fn conv_never_switch_is_bitwise_element_exact() {
             }
         }
     }
-}
-
-/// `DegradationPolicy::Off` must make the guarded path *free*: for all
-/// four variants, `forward_guarded`/`step_guarded` with an `Off` guard is
-/// byte-for-byte the unguarded call — same outputs, same maps, same
-/// accounting, and the guard never observes anything.
-#[test]
-fn guard_off_is_bitwise_identical_for_all_variants() {
-    let mut off = SpeculationGuard::new(GuardConfig::off());
-    let mut r = seeded(71);
-
-    // FF
-    let w = rng::normal(&mut r, &[24, 48], 0.0, 0.2);
-    let b = rng::normal(&mut r, &[24], 0.0, 0.05);
-    let ff = DualModuleLayer::learn(&w, &b, duet_nn::Activation::Relu, 16, 200, &mut r);
-    let x = rng::normal(&mut r, &[48], 0.0, 1.0);
-    let policy = SwitchingPolicy::relu(0.0);
-    let plain = ff.forward(&x, &policy);
-    let guarded = ff.forward_guarded(&x, &policy, &mut off);
-    assert_eq!(plain.output.data(), guarded.output.data());
-    assert_eq!(plain.pre_activation.data(), guarded.pre_activation.data());
-    assert_eq!(plain.map, guarded.map);
-    assert_eq!(plain.report, guarded.report);
-
-    // CONV
-    let geom = ConvGeometry {
-        in_channels: 2,
-        in_h: 6,
-        in_w: 6,
-        kernel_h: 3,
-        kernel_w: 3,
-        stride: 1,
-        padding: 1,
-    };
-    let filters = rng::normal(&mut r, &[4, 2, 3, 3], 0.0, 0.25);
-    let cbias = rng::normal(&mut r, &[4], 0.0, 0.05);
-    let conv = DualConvLayer::learn(geom, &filters, &cbias, 8, 200, &mut r);
-    let img = rng::normal(&mut r, &[2, 6, 6], 0.0, 1.0);
-    let plain = conv.forward(&img, &policy, None);
-    let guarded = conv.forward_guarded(&img, &policy, None, &mut off);
-    assert_eq!(plain.output.data(), guarded.output.data());
-    assert_eq!(plain.omap, guarded.omap);
-    assert_eq!(plain.channel_workloads, guarded.channel_workloads);
-
-    // LSTM
-    let cell = LstmCell::new(10, 8, &mut r);
-    let lstm = DualLstmCell::learn(&cell, 8, 200, &mut r);
-    let xs = rng::normal(&mut r, &[10], 0.0, 1.0);
-    let mut state = LstmState::zeros(8);
-    state.h = rng::normal(&mut r, &[8], 0.0, 0.5);
-    let th = RnnThresholds {
-        theta_sigmoid: 2.0,
-        theta_tanh: 1.5,
-    };
-    let plain = lstm.step(&xs, &state, &th);
-    let guarded = lstm.step_guarded(&xs, &state, &th, &mut off);
-    assert_eq!(plain.h.data(), guarded.h.data());
-    assert_eq!(plain.c.data(), guarded.c.data());
-    assert_eq!(plain.gate_maps, guarded.gate_maps);
-
-    // GRU
-    let gcell = GruCell::new(9, 7, &mut r);
-    let gru = DualGruCell::learn(&gcell, 7, 200, &mut r);
-    let xg = rng::normal(&mut r, &[9], 0.0, 1.0);
-    let hg = rng::normal(&mut r, &[7], 0.0, 0.5);
-    let plain = gru.step(&xg, &hg, &th);
-    let guarded = gru.step_guarded(&xg, &hg, &th, &mut off);
-    assert_eq!(plain.h.data(), guarded.h.data());
-    assert_eq!(plain.gate_maps, guarded.gate_maps);
-
-    // the Off guard stayed completely inert
-    assert_eq!(off.stats().checks, 0);
-    assert_eq!(off.trips(), 0);
 }
 
 /// LSTM gate lane in the dual path's order: bias, then the W_ih row, then

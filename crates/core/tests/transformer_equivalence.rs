@@ -47,7 +47,7 @@ fn dual_attention_never_switch_is_bitwise_dense_attend() {
         let attn = attention(&mut r, m);
         let xs = rng::normal(&mut r, &[t_len, m], 0.0, 1.0);
         let mut engine = SpeculationEngine::new();
-        let (out, maps) = attn.forward_with(&mut engine, &xs, f32::NEG_INFINITY, None);
+        let (out, maps) = attn.forward_with(&mut engine, &xs, f32::NEG_INFINITY);
         let reference = attn.forward_reference(&xs);
         assert_eq!(
             out.data(),
@@ -69,8 +69,7 @@ fn dual_ffn_never_switch_is_bitwise_reference() {
         let ffn = ffn(&mut r, m, f);
         let x = rng::normal(&mut r, &[m], 0.0, 1.0);
         let mut engine = SpeculationEngine::new();
-        let (y, [m1, m2]) =
-            ffn.forward_with(&mut engine, &x, f32::NEG_INFINITY, f32::NEG_INFINITY, None);
+        let (y, [m1, m2]) = ffn.forward_with(&mut engine, &x, f32::NEG_INFINITY, f32::NEG_INFINITY);
         assert_eq!(
             y.data(),
             ffn.forward_reference(&x).data(),
@@ -118,7 +117,7 @@ fn dual_layer_is_bitwise_its_projection_plus_activation() {
         for policy in [SwitchingPolicy::never_switch(), SwitchingPolicy::relu(0.3)] {
             let out = layer.forward(&x, &policy);
             let mut engine = SpeculationEngine::new();
-            let (pre, map) = layer.projection().forward(&mut engine, &policy, &x, None);
+            let (pre, map) = layer.projection().forward(&mut engine, &policy, &x);
             assert_eq!(
                 out.output.data(),
                 Activation::Relu.apply(&pre).data(),
@@ -133,7 +132,7 @@ fn dual_layer_is_bitwise_its_projection_plus_activation() {
         let (pre, _) =
             layer
                 .projection()
-                .forward(&mut engine, &SwitchingPolicy::never_switch(), &x, None);
+                .forward(&mut engine, &SwitchingPolicy::never_switch(), &x);
         assert_eq!(pre.data(), reference.data());
     }
 }

@@ -15,7 +15,8 @@
 //!   batch-parallel [`duet_core::batch::forward_batch`] path,
 //! * [`replica::Replica`] shards each model over cloned replicas, each
 //!   with its own [`SpeculationGuard`](duet_core::guard::SpeculationGuard)
-//!   (non-finite outputs force bitwise-dense service until cleared);
+//!   (non-finite outputs or an out-of-band switch rate force
+//!   bitwise-dense service until cleared);
 //!   a [`replica::ModelVariant`] is either a dual FC layer or a dual
 //!   transformer block served over fixed-length token windows,
 //! * [`admission::AdmissionController`] maps per-tenant backlog to a

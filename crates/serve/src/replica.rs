@@ -2,30 +2,29 @@
 //!
 //! Each replica executes batches against its model's [`ModelVariant`] —
 //! a dual-module FC layer or a dual transformer block — with its
-//! own [`SpeculationGuard`]. Under overload the admission level shifts
-//! the switching threshold θ toward the activation's insensitive region
-//! (more outputs keep the speculator value → cheaper batch); a tripped
-//! guard overrides everything and serves bitwise-dense until it clears
-//! ([`DegradationPolicy::FallbackDense`]), exactly the degradation
-//! ladder the guard defines for the training path.
+//! own [`SpeculationGuard`], the one speculation watchdog the system
+//! runs. Under overload the admission level shifts the switching
+//! threshold θ toward the activation's insensitive region (more outputs
+//! keep the speculator value → cheaper batch); a tripped guard overrides
+//! everything and the replica serves through the never-switch path,
+//! bitwise-dense, until the guard clears.
 //!
 //! With the closed loop on ([`crate::server::ServeControl`]) each
 //! replica additionally carries a [`ThetaController`] that replaces the
 //! static level → θ table, plus an optionally bit-degraded copy of its
 //! model's speculator (the controller's precision ladder). Even while a
 //! replica is quarantined dense, the guard keeps observing the **raw**
-//! policy map ([`BatchExecution::raw_insensitive_fraction`]) — the same
-//! rule as `SpeculationEngine::speculate_guarded` — which is what makes
-//! hysteretic re-admission possible at all: the post-override fraction
-//! of a dense batch is always 0, and a guard fed that under a real band
-//! would never clear.
+//! policy map ([`BatchExecution::raw_insensitive_fraction`]), which is
+//! what makes hysteretic re-admission possible at all: the post-override
+//! fraction of a dense batch is always 0, and a guard fed that under a
+//! real band would never clear.
 
 use crate::request::InferenceRequest;
 use duet_core::batch::{forward_batch, BatchDualOutput};
 use duet_core::control::ThetaController;
 use duet_core::dual_attention::{DualTransformerBlock, TransformerThresholds};
 use duet_core::dual_layer::DualModuleLayer;
-use duet_core::guard::{DegradationPolicy, GuardConfig, GuardObservation, SpeculationGuard};
+use duet_core::guard::{GuardConfig, GuardObservation, SpeculationGuard};
 use duet_core::metrics::SavingsReport;
 use duet_core::switching::SwitchingPolicy;
 use duet_nn::Activation;
@@ -337,9 +336,9 @@ impl Replica {
     }
 
     /// Whether the next batch must run bitwise-dense: the guard is
-    /// tripped and configured to fall back.
+    /// tripped.
     pub fn must_serve_dense(&self) -> bool {
-        self.guard.is_tripped() && self.guard.config().policy == DegradationPolicy::FallbackDense
+        self.guard.is_tripped()
     }
 
     /// The speculator width batches on this replica execute at.
@@ -377,8 +376,8 @@ impl Replica {
     /// Feeds one batch's health signals to the guard and returns what
     /// the guard decided (so the server can emit trip/clear events).
     /// Empty batches are skipped — a zero-length output says nothing
-    /// about speculator health (the same rule as
-    /// `SpeculationEngine::speculate_guarded`) — and return `None`.
+    /// about speculator health, and an empty batch's synthetic 0.0
+    /// fraction would drag the EWMA out of band — and return `None`.
     /// The switch-rate signal is the **raw** policy fraction, so the
     /// guard keeps observing speculator health through a dense fallback.
     pub fn observe(&mut self, exec: &BatchExecution) -> Option<GuardObservation> {
@@ -500,6 +499,84 @@ mod tests {
         assert!(replica.observe(&exec).is_none());
         assert_eq!(replica.guard.stats().checks, 0);
         assert!(!replica.must_serve_dense());
+    }
+
+    /// The watchdog's switch-rate trip, driven through the serving path:
+    /// θ = +∞ marks every output insensitive (fraction 1.0, out of the
+    /// {0, 0.8} band); two such batches trip the replica, which then
+    /// serves bitwise never-switch batches until two healthy raw maps
+    /// clear it.
+    #[test]
+    fn switch_rate_collapse_trips_serves_dense_and_clears() {
+        let layer = layer();
+        let mut r = seeded(41);
+        let reqs: Vec<_> = (0..4)
+            .map(|i| req(i, rng::normal(&mut r, &[20], 0.0, 1.0)))
+            .collect();
+        let mut replica = Replica::new(
+            0,
+            GuardConfig {
+                ewma_alpha: 1.0,
+                trip_after: 2,
+                clear_after: 2,
+                ..GuardConfig::fallback_dense(SwitchRateBand { lo: 0.0, hi: 0.8 })
+            },
+        );
+        let collapse = SwitchingPolicy::relu(f32::INFINITY);
+        let healthy = SwitchingPolicy::relu(0.0);
+        let bits = |e: &BatchExecution| -> Vec<u32> {
+            e.result.output.data().iter().map(|v| v.to_bits()).collect()
+        };
+        let never = execute_batch(&layer, &reqs, &SwitchingPolicy::never_switch(), false);
+        let plain = execute_batch(&layer, &reqs, &healthy, false);
+        let serve = |replica: &mut Replica, policy: &SwitchingPolicy| {
+            let exec = execute_batch(&layer, &reqs, policy, replica.must_serve_dense());
+            let obs = replica.observe(&exec);
+            (exec, obs)
+        };
+
+        // one out-of-band batch is not a streak
+        let (first, obs) = serve(&mut replica, &collapse);
+        assert!(!first.dense);
+        assert_eq!(first.result.report.outputs_exact, 0);
+        assert!(!obs.is_some_and(|o| o.newly_tripped));
+        assert!(!replica.must_serve_dense(), "not tripped after one batch");
+
+        // the second trips the replica
+        let (_, obs) = serve(&mut replica, &collapse);
+        assert!(obs.is_some_and(|o| o.newly_tripped && !o.nonfinite));
+        assert!(replica.must_serve_dense(), "dense after two batches");
+
+        // tripped: the batch runs never-switch, bit for bit, while the
+        // raw map still reads out of band
+        let (dense, _) = serve(&mut replica, &collapse);
+        assert!(dense.dense);
+        assert_eq!(dense.raw_insensitive_fraction, 1.0);
+        assert_eq!(bits(&dense), bits(&never));
+        assert_eq!(dense.result.maps, never.result.maps);
+        assert_eq!(dense.result.report, never.result.report);
+        assert!(replica.must_serve_dense());
+
+        // two healthy raw maps clear it (hysteresis: one is not enough)
+        let (still_dense, _) = serve(&mut replica, &healthy);
+        assert!(still_dense.dense);
+        assert!(still_dense.raw_insensitive_fraction <= 0.8);
+        assert_eq!(bits(&still_dense), bits(&never));
+        assert!(replica.must_serve_dense());
+        serve(&mut replica, &healthy);
+        assert!(
+            !replica.must_serve_dense(),
+            "cleared after two healthy batches"
+        );
+
+        // and the next batch is the plain policy's again
+        let (after, _) = serve(&mut replica, &healthy);
+        assert!(!after.dense);
+        assert_eq!(bits(&after), bits(&plain));
+        assert_eq!(after.result.maps, plain.result.maps);
+        assert_eq!(after.result.report, plain.result.report);
+        assert_eq!(replica.guard.trips(), 1);
+        assert_eq!(replica.guard.stats().checks, 6);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! Overload never drops: admission maps backlog to a degradation level,
 //! the level shifts θ toward the insensitive region (cheaper batches),
 //! and a tripped replica guard forces bitwise-dense service until it
-//! clears. The degradation ladder — full quality → degraded θ → dense
-//! fallback — is the serving-time face of the guard's
-//! [`DegradationPolicy`](duet_core::guard::DegradationPolicy).
+//! clears. That is the degradation ladder: full quality → degraded θ →
+//! dense fallback.
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::batcher::{BatcherConfig, MicroBatcher};
@@ -900,8 +899,8 @@ impl DuetServer {
         let replicas = &self.replicas;
         let executions = parallel::map_indexed(plans.len(), workers.min(plans.len()), |i| {
             let p = &plans[i];
-            // Attribute engine-level recorder events (EngineFinish, guard
-            // hooks) emitted during this batch to its batch scope.
+            // Attribute engine-level recorder events (EngineFinish)
+            // emitted during this batch to its batch scope.
             let _scope = event::scoped(event::BATCH_SCOPE | p.batch_id, event::NO_TENANT);
             execute_batch(
                 replicas[p.replica].effective_model(&models[replicas[p.replica].model].model),

@@ -468,7 +468,7 @@ impl DualTransformerLm {
         }
     }
 
-    /// The dual block (switching maps, costs, guard-hook access).
+    /// The dual block (its projections, costs and per-block forward).
     pub fn block(&self) -> &DualTransformerBlock {
         &self.block
     }

@@ -163,8 +163,9 @@ echo "== bench regression gate (bench_check vs results/baselines) =="
 # Every committed results/BENCH_*.json is diffed against its checked-in
 # baseline: deterministic metrics (ticks, checksums, counts) must match;
 # hardware-dependent timings (_ns/_ms/gflops/...) only report drift.
-# After an intentional change, refresh with
-#   DUET_BENCH_BASELINE_UPDATE=1 ./target/release/bench_check
+# After an intentional change, promote the changed artifacts by name,
+# comma-separated (any other value fails and lists the artifacts), e.g.
+#   DUET_BENCH_BASELINE_UPDATE=BENCH_kernels.json ./target/release/bench_check
 # and commit the updated results/baselines/.
 ./target/release/bench_check
 
