@@ -20,9 +20,9 @@
 //! 3. **setpoint tracking** — once the fault window closes, the mean
 //!    setpoint error settles inside the controller deadband.
 //!
-//! All timing is virtual, so `results/BENCH_control.json` is
-//! byte-identical at any `DUET_NUM_THREADS` — CI diffs smoke runs at
-//! 1/4/7 threads.
+//! All timing is virtual, so `results/BENCH_control.json` and the
+//! stdout table (it prints no thread count) are byte-identical at any
+//! `DUET_NUM_THREADS` — CI diffs smoke runs at 1/4/7 threads.
 //!
 //! Run with: `cargo run --release -p duet-bench --bin control_bench`
 //! (`--smoke` shortens both traces and writes
@@ -39,7 +39,7 @@ use duet_serve::{
     OverloadPolicy, ServeConfig, ServeControl, ServedModel, TenantProfile, TraceConfig,
 };
 use duet_tensor::rng::{self, seeded};
-use duet_tensor::{parallel, Tensor};
+use duet_tensor::Tensor;
 use std::fmt::Write as _;
 
 /// Master seed for models, traces, and the chaos campaign.
@@ -210,11 +210,10 @@ fn milli(x: f64) -> i64 {
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let threads = parallel::num_threads();
     if smoke {
         println!("control_bench: --smoke (short traces)");
     }
-    println!("control_bench: seed {SEED}, {threads} threads\n");
+    println!("control_bench: seed {SEED}\n");
 
     // ---- phase 1: calibrate the healthy bands ---------------------------
     let bands = calibrate_bands(2);

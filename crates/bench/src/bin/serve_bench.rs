@@ -14,7 +14,8 @@
 //! accounting), so `results/BENCH_serve.json` — per-tenant p50/p90/p99,
 //! batch occupancy, degradation counters, response checksum — is
 //! byte-identical for any `DUET_NUM_THREADS`, which CI pins by diffing
-//! smoke runs at 1/4/7 threads.
+//! smoke runs at 1/4/7 threads. The stdout table prints no thread count,
+//! so it is too.
 //!
 //! Run with: `cargo run --release -p duet-bench --bin serve_bench`
 //! (`--smoke` shortens the trace for a seconds-scale CI run and writes
@@ -31,7 +32,7 @@ use duet_serve::{
     TenantProfile, TraceConfig,
 };
 use duet_tensor::rng::{self, seeded};
-use duet_tensor::{parallel, Tensor};
+use duet_tensor::Tensor;
 use std::fmt::Write as _;
 
 /// Master seed for models and trace.
@@ -131,11 +132,10 @@ fn response_checksum(responses: &[InferenceResponse]) -> u64 {
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let threads = parallel::num_threads();
     if smoke {
         println!("serve_bench: --smoke (short trace)");
     }
-    println!("serve_bench: seed {SEED}, {threads} threads\n");
+    println!("serve_bench: seed {SEED}\n");
 
     // Flight recorder: `DUET_RECORDER=1` opts in, but model construction
     // (`DualModuleLayer::learn`) would flood the ring with unscoped

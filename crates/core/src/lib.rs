@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod batch;
 pub mod calibration;
 pub mod control;
 pub mod distill;

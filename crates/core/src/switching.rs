@@ -274,8 +274,7 @@ impl SwitchingMap {
         map
     }
 
-    /// An all-insensitive map of length `n` (nothing to execute) — e.g.
-    /// the identity for [`SwitchingMap::union_in_place`].
+    /// An all-insensitive map of length `n` (nothing to execute).
     pub fn all_insensitive(n: usize) -> Self {
         Self::zeroed(n)
     }
@@ -488,19 +487,6 @@ impl SwitchingMap {
                 *v = f32::from_bits(v.to_bits() & 0u32.wrapping_sub(u32::from(*k)));
             }
             *word = word_of(&keep);
-        }
-    }
-
-    /// ORs another map into this one — the touched-row union of a
-    /// weight-stationary batch schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree.
-    pub fn union_in_place(&mut self, other: &SwitchingMap) {
-        assert_eq!(self.len, other.len, "union length mismatch");
-        for (a, &b) in self.words_mut().iter_mut().zip(other.words()) {
-            *a |= b;
         }
     }
 
@@ -760,17 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn union_is_bitwise_or() {
-        let a: Vec<bool> = (0..100).map(|i| i % 3 == 0).collect();
-        let b: Vec<bool> = (0..100).map(|i| i % 4 == 0).collect();
-        let mut u = SwitchingMap::from_flags(a.clone());
-        u.union_in_place(&SwitchingMap::from_flags(b.clone()));
-        for i in 0..100 {
-            assert_eq!(u.is_sensitive(i), a[i] || b[i], "index {i}");
-        }
-    }
-
-    #[test]
     fn extend_from_map_concatenates_unaligned() {
         let a: Vec<bool> = (0..70).map(|i| i % 2 == 0).collect();
         let b: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
@@ -928,12 +903,9 @@ mod tests {
         // a single set bit at every boundary-adjacent position
         for n in [64usize, 65, 127, 191] {
             for hot in [0, 1, 62, 63, n - 1] {
-                let mut m = SwitchingMap::all_insensitive(n);
-                m.union_in_place(&{
-                    let mut flags = vec![false; n];
-                    flags[hot] = true;
-                    SwitchingMap::from_flags(flags)
-                });
+                let mut flags = vec![false; n];
+                flags[hot] = true;
+                let m = SwitchingMap::from_flags(flags);
                 let got: Vec<(usize, u64)> = m.iter_words().collect();
                 assert_eq!(got.len(), 1, "len {n} hot {hot}");
                 assert_eq!(got[0].0, hot / 64, "len {n} hot {hot}");
@@ -969,9 +941,6 @@ mod tests {
                 joined.extend_from_map(&SwitchingMap::from_flags(flags[at..].to_vec()));
                 built.push(("extend_from_map", joined));
             }
-            let mut union = SwitchingMap::all_insensitive(n);
-            union.union_in_place(&want);
-            built.push(("all_insensitive + union_in_place", union));
             for (what, m) in &built {
                 assert_eq!(m, &want, "{what} len {n}");
                 assert_eq!(m.len(), n, "{what} len {n}");
@@ -993,9 +962,7 @@ mod tests {
             let all = SwitchingMap::all_sensitive(n);
             let mut grown = SwitchingMap::empty();
             grown.extend(std::iter::repeat_n(true, n));
-            let mut union = SwitchingMap::all_insensitive(n);
-            union.union_in_place(&all);
-            for m in [&grown, &union, &all.clone()] {
+            for m in [&grown, &all.clone()] {
                 assert_eq!(m, &all, "all-sensitive len {n}");
                 assert_eq!(m.words(), all.words(), "all-sensitive len {n}");
                 assert_eq!(

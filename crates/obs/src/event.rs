@@ -313,7 +313,7 @@ pub fn scoped(request: u64, tenant: u32) -> ScopeGuard {
 }
 
 /// The scope installed by the innermost live [`scoped`] guard.
-pub fn current_scope() -> (u64, u32) {
+fn current_scope() -> (u64, u32) {
     SCOPE.with(|s| s.get())
 }
 

@@ -1,10 +1,12 @@
 //! Per-model micro-batching.
 //!
 //! Requests queue per model in FIFO order; a batch is released when it
-//! is full or its oldest member has waited `max_wait_ticks`. Coalescing
-//! same-model requests is what lets the server ride the batch-parallel
-//! [`duet_core::batch::forward_batch`] path — the speculator's weights
-//! are loaded once per batch, so occupancy directly buys efficiency.
+//! is full or its oldest member has waited `max_wait_ticks`. A batch
+//! occupies one replica for one service interval, so its members share
+//! one dispatch overhead
+//! ([`ServeConfig::dispatch_overhead_ticks`](crate::server::ServeConfig::dispatch_overhead_ticks));
+//! each member still runs through its model's own forward
+//! ([`crate::replica::execute_batch`]).
 
 use crate::request::InferenceRequest;
 use std::collections::VecDeque;
@@ -61,11 +63,6 @@ impl MicroBatcher {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    /// Arrival tick of the oldest queued request for `model`, if any.
-    pub fn oldest_arrival(&self, model: usize) -> Option<u64> {
-        self.queues[model].front().map(|r| r.arrival_tick)
-    }
-
     /// Whether `model` has a releasable batch at tick `now`: a full
     /// batch, or a non-empty queue whose head has waited out.
     pub fn ready(&self, model: usize, now: u64) -> bool {
@@ -91,8 +88,7 @@ impl MicroBatcher {
 
     /// Removes and returns up to `max_batch` requests for `model`, in
     /// FIFO order. May legitimately return an empty batch when the queue
-    /// is empty — downstream ([`duet_core::batch::forward_batch`]) accepts
-    /// the empty `[0, d]` flush.
+    /// is empty — [`crate::replica::execute_batch`] runs it as no work.
     pub fn flush(&mut self, model: usize) -> Vec<InferenceRequest> {
         let q = &mut self.queues[model];
         let take = q.len().min(self.cfg.max_batch);
@@ -160,7 +156,10 @@ mod tests {
         let first = b.flush(1);
         assert_eq!(first.iter().map(|r| r.id.0).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(b.depth(1), 2);
-        assert_eq!(b.oldest_arrival(1), Some(3));
+        assert_eq!(
+            b.flush(1).iter().map(|r| r.id.0).collect::<Vec<_>>(),
+            [3, 4]
+        );
     }
 
     #[test]

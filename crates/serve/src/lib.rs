@@ -11,8 +11,9 @@
 //!                  (never drops; overload shifts θ)
 //! ```
 //!
-//! * [`batcher::MicroBatcher`] coalesces same-model requests into the
-//!   batch-parallel [`duet_core::batch::forward_batch`] path,
+//! * [`batcher::MicroBatcher`] coalesces same-model requests into
+//!   batches; a replica runs a batch's requests in turn through its
+//!   model's own forward ([`replica::execute_batch`]),
 //! * [`replica::Replica`] shards each model over cloned replicas, each
 //!   with its own [`SpeculationGuard`](duet_core::guard::SpeculationGuard)
 //!   (non-finite outputs or an out-of-band switch rate force
@@ -24,8 +25,9 @@
 //!   θ shift toward the activation's insensitive region — saturation
 //!   degrades precision instead of dropping requests,
 //! * [`server::DuetServer`] ties it together as a virtual-time
-//!   discrete-event loop whose same-round batches fan out over the
-//!   [`duet_tensor::parallel`] scoped-thread pool,
+//!   discrete-event loop whose same-round batches fan out over at most
+//!   [`ServeConfig::workers`](server::ServeConfig::workers) scoped
+//!   threads — serving's one fan-out,
 //! * with [`server::ServeControl`] set, each replica carries a
 //!   closed-loop [`ThetaController`](duet_core::control::ThetaController)
 //!   steering its switch rate toward the calibrated band midpoint —

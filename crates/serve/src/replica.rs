@@ -3,9 +3,11 @@
 //! Each replica executes batches against its model's [`ModelVariant`] —
 //! a dual-module FC layer or a dual transformer block — with its
 //! own [`SpeculationGuard`], the one speculation watchdog the system
-//! runs. Under overload the admission level shifts the switching
-//! threshold θ toward the activation's insensitive region (more outputs
-//! keep the speculator value → cheaper batch); a tripped guard overrides
+//! runs. A batch is its requests run in turn through the model's own
+//! forward, on the thread the server's scheduling round gave the batch.
+//! Under overload the admission level shifts the switching threshold θ
+//! toward the activation's insensitive region (more outputs keep the
+//! speculator value → cheaper batch); a tripped guard overrides
 //! everything and the replica serves through the never-switch path,
 //! bitwise-dense, until the guard clears.
 //!
@@ -20,13 +22,12 @@
 //! real band would never clear.
 
 use crate::request::InferenceRequest;
-use duet_core::batch::{forward_batch, BatchDualOutput};
 use duet_core::control::ThetaController;
 use duet_core::dual_attention::{DualTransformerBlock, TransformerThresholds};
 use duet_core::dual_layer::DualModuleLayer;
 use duet_core::guard::{GuardConfig, GuardObservation, SpeculationGuard};
 use duet_core::metrics::SavingsReport;
-use duet_core::switching::SwitchingPolicy;
+use duet_core::switching::{SwitchingMap, SwitchingPolicy};
 use duet_nn::Activation;
 use duet_tensor::Tensor;
 
@@ -43,8 +44,8 @@ use duet_tensor::Tensor;
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum ModelVariant {
-    /// A single dual-module FC layer, executed batch-parallel through
-    /// [`duet_core::batch::forward_batch`].
+    /// A single dual-module FC layer; each request runs through
+    /// [`DualModuleLayer::forward`].
     Layer(DualModuleLayer),
     /// A dual transformer block served over fixed-length token windows.
     /// Request inputs are flattened `[seq_len * m]` sequences; the
@@ -77,31 +78,6 @@ impl ModelVariant {
         match self {
             ModelVariant::Layer(layer) => layer.output_dim(),
             ModelVariant::Transformer { block, seq_len, .. } => seq_len * block.model_dim(),
-        }
-    }
-
-    /// The block thresholds a degraded [`SwitchingPolicy`] maps to:
-    /// the policy θ drives the GELU band, the magnitude bands are fixed
-    /// per model. `never_switch` policies map to `never_switch`
-    /// thresholds so the dense fallback stays bitwise-dense end to end.
-    fn thresholds_for(&self, policy: &SwitchingPolicy) -> TransformerThresholds {
-        match self {
-            ModelVariant::Layer(_) => TransformerThresholds::never_switch(),
-            ModelVariant::Transformer {
-                theta_attn,
-                theta_ffn_out,
-                ..
-            } => {
-                if *policy == SwitchingPolicy::never_switch() {
-                    TransformerThresholds::never_switch()
-                } else {
-                    TransformerThresholds {
-                        theta_attn: *theta_attn,
-                        theta_gelu: policy.theta,
-                        theta_ffn_out: *theta_ffn_out,
-                    }
-                }
-            }
         }
     }
 }
@@ -178,8 +154,13 @@ pub fn service_ticks_scaled(
 /// Result of running one batch on a replica.
 #[derive(Debug)]
 pub struct BatchExecution {
-    /// The batched dual-module result (output `[B, n]`, maps, report).
-    pub result: BatchDualOutput,
+    /// Each request's flat output `[n]`, in request order.
+    pub outputs: Vec<Tensor>,
+    /// The executed switching maps, request by request: one per FC
+    /// request, six per window position of a transformer request.
+    pub maps: Vec<SwitchingMap>,
+    /// The sum of the requests' own reports.
+    pub report: SavingsReport,
     /// Whether the batch ran bitwise-dense (guard fallback).
     pub dense: bool,
     /// Whether any output element was non-finite.
@@ -197,8 +178,9 @@ pub struct BatchExecution {
     pub raw_insensitive_fraction: f64,
 }
 
-/// Packs a batch of requests into a `[B, d]` tensor (possibly `[0, d]`)
-/// and runs it through the model under `policy`.
+/// Runs a batch of requests through the model under `policy`: each
+/// request in turn through the model's own forward, on the calling
+/// thread.
 ///
 /// # Panics
 ///
@@ -211,7 +193,6 @@ pub fn execute_batch(
     dense: bool,
 ) -> BatchExecution {
     let d = model.input_dim();
-    let b = requests.len();
     for req in requests {
         assert_eq!(
             req.input.shape().dims(),
@@ -225,63 +206,92 @@ pub fn execute_batch(
     } else {
         *policy
     };
-    let run = |eff: &SwitchingPolicy| -> BatchDualOutput {
-        match model {
-            ModelVariant::Layer(layer) => {
-                let mut data = Vec::with_capacity(b * d);
-                for req in requests {
-                    data.extend_from_slice(req.input.data());
-                }
-                let x = Tensor::from_vec(data, &[b, d]);
-                forward_batch(layer, &x, eff)
-            }
-            ModelVariant::Transformer { block, seq_len, .. } => {
-                let thresholds = model.thresholds_for(eff);
-                let m = block.model_dim();
-                let mut data = Vec::with_capacity(b * d);
-                let mut maps = Vec::new();
-                let mut report = SavingsReport::new();
-                for req in requests {
-                    let xs = Tensor::from_vec(req.input.data().to_vec(), &[*seq_len, m]);
-                    let out = block.forward(&xs, &thresholds);
-                    data.extend_from_slice(out.output.data());
-                    maps.extend(out.maps);
-                    report += out.report;
-                }
-                BatchDualOutput {
-                    output: Tensor::from_vec(data, &[b, d]),
-                    maps,
-                    report,
-                }
-            }
-        }
-    };
-    let fraction = |maps: &[duet_core::switching::SwitchingMap]| {
-        if maps.is_empty() {
-            0.0
-        } else {
-            maps.iter().map(|m| m.insensitive_fraction()).sum::<f64>() / maps.len() as f64
-        }
-    };
-    let result = run(&effective);
-    let nonfinite = result.output.data().iter().any(|v| !v.is_finite());
-    let insensitive_fraction = fraction(&result.maps);
+    let (outputs, maps, report) = run_requests(model, requests, &effective);
+    let nonfinite = outputs
+        .iter()
+        .flat_map(Tensor::data)
+        .any(|v| !v.is_finite());
+    let insensitive_fraction = mean_insensitive_fraction(&maps);
     // A dense batch's executed maps are all-sensitive by construction,
     // which says nothing about speculator health. Probe the raw policy
     // (same path a non-dense batch would take; outputs and accounting
     // are discarded, so service cost and responses are untouched) so
     // the guard observes the pre-override fraction.
     let raw_insensitive_fraction = if dense && *policy != SwitchingPolicy::never_switch() {
-        fraction(&run(policy).maps)
+        mean_insensitive_fraction(&run_requests(model, requests, policy).1)
     } else {
         insensitive_fraction
     };
     BatchExecution {
-        result,
+        outputs,
+        maps,
+        report,
         dense,
         nonfinite,
         insensitive_fraction,
         raw_insensitive_fraction,
+    }
+}
+
+/// Runs each request through the model's own forward under `policy`, in
+/// request order: the flat outputs, every map, and the summed report.
+fn run_requests(
+    model: &ModelVariant,
+    requests: &[InferenceRequest],
+    policy: &SwitchingPolicy,
+) -> (Vec<Tensor>, Vec<SwitchingMap>, SavingsReport) {
+    let mut outputs = Vec::with_capacity(requests.len());
+    let mut maps = Vec::new();
+    let mut report = SavingsReport::new();
+    for req in requests {
+        match model {
+            ModelVariant::Layer(layer) => {
+                let out = layer.forward(&req.input, policy);
+                outputs.push(out.output);
+                maps.push(out.map);
+                report += out.report;
+            }
+            ModelVariant::Transformer {
+                block,
+                seq_len,
+                theta_attn,
+                theta_ffn_out,
+            } => {
+                // The policy θ drives the GELU band, the magnitude bands
+                // stay at their tuned values; a never-switch policy maps
+                // to never-switch thresholds, so the dense fallback stays
+                // bitwise-dense end to end.
+                let thresholds = if *policy == SwitchingPolicy::never_switch() {
+                    TransformerThresholds::never_switch()
+                } else {
+                    TransformerThresholds {
+                        theta_attn: *theta_attn,
+                        theta_gelu: policy.theta,
+                        theta_ffn_out: *theta_ffn_out,
+                    }
+                };
+                let xs = req.input.reshaped(&[*seq_len, block.model_dim()]);
+                let out = block.forward(&xs, &thresholds);
+                let mut output = out.output;
+                output.reshape_inplace(&[xs.len()]);
+                outputs.push(output);
+                maps.extend(out.maps);
+                report += out.report;
+            }
+        }
+    }
+    (outputs, maps, report)
+}
+
+/// Mean insensitive fraction over `maps` (0 for none).
+fn mean_insensitive_fraction(maps: &[SwitchingMap]) -> f64 {
+    if maps.is_empty() {
+        0.0
+    } else {
+        maps.iter()
+            .map(SwitchingMap::insensitive_fraction)
+            .sum::<f64>()
+            / maps.len() as f64
     }
 }
 
@@ -381,7 +391,7 @@ impl Replica {
     /// The switch-rate signal is the **raw** policy fraction, so the
     /// guard keeps observing speculator health through a dense fallback.
     pub fn observe(&mut self, exec: &BatchExecution) -> Option<GuardObservation> {
-        if exec.result.output.is_empty() {
+        if exec.outputs.is_empty() {
             return None;
         }
         Some(
@@ -446,6 +456,73 @@ mod tests {
         }
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A batch is its requests' own forwards run in turn: outputs, maps
+    /// and the summed report are bitwise the per-request loop's, for both
+    /// variants, at B = 0, 1 and several.
+    #[test]
+    fn batch_is_the_per_request_forwards() {
+        let mut r = seeded(17);
+        for (model, policy) in [
+            (layer(), SwitchingPolicy::relu(0.0)),
+            (transformer(3), SwitchingPolicy::gelu(-0.5)),
+        ] {
+            let (d, n) = (model.input_dim(), model.output_dim());
+            for b in [0u64, 1, 5] {
+                let reqs: Vec<_> = (0..b)
+                    .map(|i| req(i, rng::normal(&mut r, &[d], 0.0, 1.0)))
+                    .collect();
+                let exec = execute_batch(&model, &reqs, &policy, false);
+                assert_eq!(exec.outputs.len(), reqs.len());
+                let mut maps = Vec::new();
+                let mut report = SavingsReport::new();
+                for (rq, got) in reqs.iter().zip(&exec.outputs) {
+                    let want = match &model {
+                        ModelVariant::Layer(layer) => {
+                            let out = layer.forward(&rq.input, &policy);
+                            maps.push(out.map);
+                            report += out.report;
+                            out.output
+                        }
+                        ModelVariant::Transformer {
+                            block,
+                            seq_len,
+                            theta_attn,
+                            theta_ffn_out,
+                        } => {
+                            let thresholds = TransformerThresholds {
+                                theta_attn: *theta_attn,
+                                theta_gelu: policy.theta,
+                                theta_ffn_out: *theta_ffn_out,
+                            };
+                            let xs = rq.input.reshaped(&[*seq_len, block.model_dim()]);
+                            let out = block.forward(&xs, &thresholds);
+                            maps.extend(out.maps);
+                            report += out.report;
+                            out.output.reshaped(&[n])
+                        }
+                    };
+                    assert_eq!(got.shape().dims(), [n]);
+                    assert_eq!(bits(got), bits(&want), "request {}", rq.id);
+                }
+                assert_eq!(exec.maps, maps);
+                assert_eq!(exec.report, report);
+            }
+        }
+        // the FC layer's summed report covers B · n outputs, B · n · d MACs
+        let exec = execute_batch(
+            &layer(),
+            &[req(0, Tensor::zeros(&[20])), req(1, Tensor::zeros(&[20]))],
+            &SwitchingPolicy::relu(0.0),
+            false,
+        );
+        assert_eq!(exec.report.outputs_total, 2 * 12);
+        assert_eq!(exec.report.dense_macs, 2 * 12 * 20);
+    }
+
     #[test]
     fn relu_degradation_raises_theta() {
         let p = OverloadPolicy {
@@ -486,15 +563,22 @@ mod tests {
         let full = execute_batch(&layer, &reqs, &p.policy_for(0), false);
         let degraded = execute_batch(&layer, &reqs, &p.policy_for(3), false);
         assert!(degraded.insensitive_fraction >= full.insensitive_fraction);
-        assert!(degraded.result.report.executor_macs <= full.result.report.executor_macs);
+        assert!(degraded.report.executor_macs <= full.report.executor_macs);
     }
 
     #[test]
     fn empty_batch_executes_and_skips_guard() {
         let layer = layer();
         let exec = execute_batch(&layer, &[], &SwitchingPolicy::relu(0.0), false);
-        assert_eq!(exec.result.output.shape().dims(), &[0, 12]);
+        assert!(exec.outputs.is_empty());
+        assert!(exec.maps.is_empty());
         assert_eq!(exec.insensitive_fraction, 0.0);
+        // an empty batch does no work and reports none, with the
+        // empty report's neutral ratios
+        assert_eq!(exec.report, SavingsReport::new());
+        assert_eq!(exec.report.flops_reduction(), 1.0);
+        assert_eq!(exec.report.weight_access_reduction(), 1.0);
+        assert_eq!(exec.report.approximate_fraction(), 0.0);
         let mut replica = Replica::new(0, GuardConfig::fallback_dense(SwitchRateBand::any()));
         assert!(replica.observe(&exec).is_none());
         assert_eq!(replica.guard.stats().checks, 0);
@@ -524,9 +608,8 @@ mod tests {
         );
         let collapse = SwitchingPolicy::relu(f32::INFINITY);
         let healthy = SwitchingPolicy::relu(0.0);
-        let bits = |e: &BatchExecution| -> Vec<u32> {
-            e.result.output.data().iter().map(|v| v.to_bits()).collect()
-        };
+        let batch_bits =
+            |e: &BatchExecution| -> Vec<u32> { e.outputs.iter().flat_map(bits).collect() };
         let never = execute_batch(&layer, &reqs, &SwitchingPolicy::never_switch(), false);
         let plain = execute_batch(&layer, &reqs, &healthy, false);
         let serve = |replica: &mut Replica, policy: &SwitchingPolicy| {
@@ -538,7 +621,7 @@ mod tests {
         // one out-of-band batch is not a streak
         let (first, obs) = serve(&mut replica, &collapse);
         assert!(!first.dense);
-        assert_eq!(first.result.report.outputs_exact, 0);
+        assert_eq!(first.report.outputs_exact, 0);
         assert!(!obs.is_some_and(|o| o.newly_tripped));
         assert!(!replica.must_serve_dense(), "not tripped after one batch");
 
@@ -552,16 +635,16 @@ mod tests {
         let (dense, _) = serve(&mut replica, &collapse);
         assert!(dense.dense);
         assert_eq!(dense.raw_insensitive_fraction, 1.0);
-        assert_eq!(bits(&dense), bits(&never));
-        assert_eq!(dense.result.maps, never.result.maps);
-        assert_eq!(dense.result.report, never.result.report);
+        assert_eq!(batch_bits(&dense), batch_bits(&never));
+        assert_eq!(dense.maps, never.maps);
+        assert_eq!(dense.report, never.report);
         assert!(replica.must_serve_dense());
 
         // two healthy raw maps clear it (hysteresis: one is not enough)
         let (still_dense, _) = serve(&mut replica, &healthy);
         assert!(still_dense.dense);
         assert!(still_dense.raw_insensitive_fraction <= 0.8);
-        assert_eq!(bits(&still_dense), bits(&never));
+        assert_eq!(batch_bits(&still_dense), batch_bits(&never));
         assert!(replica.must_serve_dense());
         serve(&mut replica, &healthy);
         assert!(
@@ -572,9 +655,9 @@ mod tests {
         // and the next batch is the plain policy's again
         let (after, _) = serve(&mut replica, &healthy);
         assert!(!after.dense);
-        assert_eq!(bits(&after), bits(&plain));
-        assert_eq!(after.result.maps, plain.result.maps);
-        assert_eq!(after.result.report, plain.result.report);
+        assert_eq!(batch_bits(&after), batch_bits(&plain));
+        assert_eq!(after.maps, plain.maps);
+        assert_eq!(after.report, plain.report);
         assert_eq!(replica.guard.trips(), 1);
         assert_eq!(replica.guard.stats().checks, 6);
     }
@@ -601,10 +684,7 @@ mod tests {
         assert!(exec.dense);
         // never-switch recomputes everything: nothing insensitive
         assert_eq!(exec.insensitive_fraction, 0.0);
-        assert_eq!(
-            exec.result.report.outputs_exact,
-            exec.result.report.outputs_total
-        );
+        assert_eq!(exec.report.outputs_exact, exec.report.outputs_total);
     }
 
     #[test]
@@ -620,7 +700,7 @@ mod tests {
             .collect();
         let dense = execute_batch(&model, &reqs, &SwitchingPolicy::gelu(0.1), true);
         assert!(dense.dense);
-        assert_eq!(dense.result.output.shape().dims(), &[3, d]);
+        assert_eq!(dense.outputs.len(), 3);
         // dense fallback is bitwise the never-switch block
         let ModelVariant::Transformer { block, .. } = &model else {
             unreachable!()
@@ -628,12 +708,10 @@ mod tests {
         for (bi, rq) in reqs.iter().enumerate() {
             let xs = Tensor::from_vec(rq.input.data().to_vec(), &[seq, 6]);
             let want = block.forward_dense(&xs);
-            assert_eq!(dense.result.output.row(bi), want.data());
+            assert_eq!(dense.outputs[bi].shape().dims(), [d]);
+            assert_eq!(dense.outputs[bi].data(), want.data());
         }
-        assert_eq!(
-            dense.result.report.outputs_exact,
-            dense.result.report.outputs_total
-        );
+        assert_eq!(dense.report.outputs_exact, dense.report.outputs_total);
     }
 
     #[test]
@@ -651,6 +729,6 @@ mod tests {
         let full = execute_batch(&model, &reqs, &p.policy_for(0), false);
         let degraded = execute_batch(&model, &reqs, &p.policy_for(4), false);
         assert!(degraded.insensitive_fraction >= full.insensitive_fraction);
-        assert!(degraded.result.report.executor_macs <= full.result.report.executor_macs);
+        assert!(degraded.report.executor_macs <= full.report.executor_macs);
     }
 }

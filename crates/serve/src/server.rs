@@ -182,7 +182,8 @@ pub struct ServeConfig {
     pub macs_per_tick: u64,
     /// Fixed per-batch dispatch cost in ticks.
     pub dispatch_overhead_ticks: u64,
-    /// Worker threads for same-round batch fan-out; 0 means
+    /// Worker threads for same-round batch fan-out, serving's one
+    /// fan-out: each batch runs on one worker. 0 means
     /// [`parallel::num_threads`] (the `DUET_NUM_THREADS` setting).
     pub workers: usize,
     /// Closed-loop θ-control; `None` keeps the static level → θ table.
@@ -215,7 +216,8 @@ impl ServeConfig {
 struct InFlight {
     batch_id: u64,
     requests: Vec<InferenceRequest>,
-    outputs: Tensor,
+    /// Each request's output, in request order.
+    outputs: Vec<Tensor>,
     level: u8,
     dense: bool,
 }
@@ -943,7 +945,7 @@ impl DuetServer {
             }
             self.update_controller(ri, plan.level, plan.batch_id, ewma);
             let cost = service_ticks_scaled(
-                &exec.result.report,
+                &exec.report,
                 self.cfg.macs_per_tick,
                 self.cfg.dispatch_overhead_ticks,
                 plan.bits,
@@ -969,14 +971,14 @@ impl DuetServer {
                 event::BATCH_SCOPE | plan.batch_id,
                 event::NO_TENANT,
                 self.now,
-                exec.result.report.executor_macs,
-                exec.result.report.speculator_macs,
-                exec.result.report.approximate_fraction() * 10_000.0,
+                exec.report.executor_macs,
+                exec.report.speculator_macs,
+                exec.report.approximate_fraction() * 10_000.0,
             );
             self.in_flight[ri] = Some(InFlight {
                 batch_id: plan.batch_id,
                 requests: plan.requests,
-                outputs: exec.result.output,
+                outputs: exec.outputs,
                 level: plan.level,
                 dense: exec.dense,
             });
@@ -1052,8 +1054,7 @@ impl DuetServer {
                 continue;
             };
             let done = self.replicas[ri].busy_until;
-            let n = self.models[self.replicas[ri].model].model.output_dim();
-            for (bi, req) in fl.requests.iter().enumerate() {
+            for (req, output) in fl.requests.iter().zip(fl.outputs) {
                 let t = req.tenant.0 as usize;
                 let latency = done - req.arrival_tick;
                 self.tenants[t].latencies.push(latency);
@@ -1087,7 +1088,7 @@ impl DuetServer {
                     id: req.id,
                     tenant: req.tenant,
                     model: req.model,
-                    output: Tensor::from_vec(fl.outputs.row(bi).to_vec(), &[n]),
+                    output,
                     arrival_tick: req.arrival_tick,
                     completion_tick: done,
                     degradation_level: fl.level,

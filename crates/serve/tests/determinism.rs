@@ -10,9 +10,11 @@
 
 use duet_core::dual_proj::DualProjection;
 use duet_core::engine::MacMode;
+use duet_core::metrics::SavingsReport;
 use duet_core::switching::SwitchingPolicy;
 use duet_core::{DualAttention, DualFfn, DualTransformerBlock};
 use duet_nn::Activation;
+use duet_serve::replica::execute_batch;
 use duet_serve::{
     DuetServer, InferenceResponse, ModelVariant, OverloadPolicy, ServeConfig, ServeReport,
     ServedModel, TenantProfile, TraceConfig,
@@ -145,7 +147,7 @@ fn seeded_trace_replays_byte_identically_across_worker_counts() {
 #[test]
 fn empty_micro_batch_flush_is_harmless() {
     // A server with pending arrivals but an empty queue at flush time
-    // exercises the forward_batch empty-batch path end to end.
+    // exercises the empty-batch path end to end.
     let mut cfg = ServeConfig::balanced();
     cfg.workers = 1;
     let mut server = DuetServer::new(models(), &tenants(), cfg);
@@ -154,17 +156,13 @@ fn empty_micro_batch_flush_is_harmless() {
     let report = server.report();
     assert_eq!(report.submitted, 0);
     assert_eq!(report.batches, 0);
-    // the direct seam: a [0, d] batch through the dual path
-    let ModelVariant::Layer(ref layer) = models()[0].model else {
-        unreachable!("first model is a layer")
-    };
-    let out = duet_core::batch::forward_batch(
-        layer,
-        &Tensor::zeros(&[0, layer.input_dim()]),
-        &SwitchingPolicy::relu(0.0),
-    );
-    assert!(out.output.is_empty());
-    assert!(out.maps.is_empty());
+    // the direct seam: a batch of no requests through each model
+    for served in models() {
+        let out = execute_batch(&served.model, &[], &SwitchingPolicy::relu(0.0), false);
+        assert!(out.outputs.is_empty());
+        assert!(out.maps.is_empty());
+        assert_eq!(out.report, SavingsReport::new());
+    }
 }
 
 #[test]

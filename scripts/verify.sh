@@ -61,6 +61,26 @@ cmp "$committed"/BENCH_transformer.json results/BENCH_transformer.json
 cmp "$committed"/FAULTS.json results/FAULTS.json
 rm -rf "$committed"
 
+echo "== the full serving exhibits reproduce =="
+# serve_bench, obs_report and control_bench charge virtual ticks and
+# print no thread count, so their full runs (~2 s) are pure functions of
+# the code too: the three stdout tables and the three JSON artifacts must
+# match results/ byte for byte. serve_bench rewrites BENCH_serve.json and
+# the recorder stream that obs_report joins into SERVE_REPORT.json, and
+# control_bench rewrites BENCH_control.json, so the committed copies are
+# set aside and compared; the intermediate RECORDER_serve.jsonl goes.
+committed=$(mktemp -d)
+cp results/BENCH_serve.json results/SERVE_REPORT.json results/BENCH_control.json \
+    results/serve_bench.txt results/obs_report.txt results/control_bench.txt "$committed"/
+DUET_RECORDER=1 ./target/release/serve_bench > results/serve_bench.txt
+./target/release/obs_report > results/obs_report.txt
+./target/release/control_bench > results/control_bench.txt
+for f in BENCH_serve.json SERVE_REPORT.json BENCH_control.json serve_bench.txt obs_report.txt \
+    control_bench.txt; do
+    cmp "$committed/$f" "results/$f"
+done
+rm -rf "$committed" results/RECORDER_serve.jsonl
+
 echo "== every example reproduces =="
 # The examples print no timing and write no files, so each output is a
 # pure function of the code too. translation is the only end-to-end run
