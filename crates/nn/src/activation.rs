@@ -29,6 +29,25 @@ const GELU_C: f32 = 0.797_884_6;
 /// Cubic coefficient of the tanh approximation of GELU.
 const GELU_A: f32 = 0.044_715;
 
+/// GELU (tanh approximation) at `x`, with the `t = tanh(√(2/π)·(x +
+/// 0.044715·x³))` it is built from: `(0.5·x·(1 + t), t)`. The one copy of
+/// the formula: [`Activation::apply_scalar`] returns the first value, and
+/// a trainer that keeps `t` hands it to [`gelu_derivative`] instead of
+/// evaluating `tanh` again.
+#[inline]
+pub fn gelu_with_tanh(x: f32) -> (f32, f32) {
+    let t = (GELU_C * (x + GELU_A * x * x * x)).tanh();
+    (0.5 * x * (1.0 + t), t)
+}
+
+/// GELU's derivative at `x`, given the `t` that [`gelu_with_tanh`]
+/// returned for it; bitwise [`Activation::derivative_scalar`] of
+/// [`Activation::Gelu`].
+#[inline]
+pub fn gelu_derivative(x: f32, t: f32) -> f32 {
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+}
+
 impl Activation {
     /// Applies the function to a scalar.
     pub fn apply_scalar(self, x: f32) -> f32 {
@@ -36,7 +55,7 @@ impl Activation {
             Activation::Relu => x.max(0.0),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Tanh => x.tanh(),
-            Activation::Gelu => 0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh()),
+            Activation::Gelu => gelu_with_tanh(x).0,
             Activation::Identity => x,
         }
     }
@@ -47,6 +66,7 @@ impl Activation {
     }
 
     /// Derivative at pre-activation `x`.
+    #[inline]
     pub fn derivative_scalar(self, x: f32) -> f32 {
         match self {
             Activation::Relu => {
@@ -64,12 +84,34 @@ impl Activation {
                 let t = x.tanh();
                 1.0 - t * t
             }
-            Activation::Gelu => {
-                let u = GELU_C * (x + GELU_A * x * x * x);
-                let t = u.tanh();
-                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
-            }
+            Activation::Gelu => gelu_derivative(x, gelu_with_tanh(x).1),
             Activation::Identity => 1.0,
+        }
+    }
+
+    /// Backpropagates through the function: multiplies each `grad[i]` by
+    /// the derivative at `pre[i]`, bitwise as
+    /// `grad[i] *= self.derivative_scalar(pre[i])` element by element,
+    /// with one `match` per slice instead of one per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn scale_by_derivative(self, pre: &[f32], grad: &mut [f32]) {
+        assert_eq!(pre.len(), grad.len(), "activation grad length mismatch");
+        fn scale(pre: &[f32], grad: &mut [f32], derivative: impl Fn(f32) -> f32) {
+            for (g, &p) in grad.iter_mut().zip(pre) {
+                *g *= derivative(p);
+            }
+        }
+        // Each arm names its variant, so its loop inlines that one
+        // derivative and nothing is dispatched per element.
+        match self {
+            Activation::Relu => scale(pre, grad, |p| Activation::Relu.derivative_scalar(p)),
+            Activation::Sigmoid => scale(pre, grad, |p| Activation::Sigmoid.derivative_scalar(p)),
+            Activation::Tanh => scale(pre, grad, |p| Activation::Tanh.derivative_scalar(p)),
+            Activation::Gelu => scale(pre, grad, |p| Activation::Gelu.derivative_scalar(p)),
+            Activation::Identity => scale(pre, grad, |p| Activation::Identity.derivative_scalar(p)),
         }
     }
 
@@ -195,6 +237,68 @@ mod tests {
                 let an = act.derivative_scalar(x);
                 assert!((fd - an).abs() < 1e-2, "{act} at {x}: fd {fd} vs {an}");
             }
+        }
+    }
+
+    #[test]
+    fn scale_by_derivative_is_bitwise_per_element() {
+        // Every pre-activation against every gradient, specials included:
+        // signed zeros, ±∞, NaNs of both signs and a payload, a subnormal,
+        // and values deep in each saturation region.
+        let values = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -2.5,
+            30.0,
+            -30.0,
+            1e-40,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+        ];
+        let pre: Vec<f32> = values.iter().flat_map(|&p| values.map(|_| p)).collect();
+        let grad: Vec<f32> = values.iter().flat_map(|_| values).collect();
+        for act in [
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Gelu,
+            Activation::Identity,
+        ] {
+            let mut got = grad.clone();
+            act.scale_by_derivative(&pre, &mut got);
+            for ((&g, &p), &v) in grad.iter().zip(&pre).zip(&got) {
+                let want = g * act.derivative_scalar(p);
+                // Bit for bit, except that Rust leaves the sign and
+                // payload of a computed NaN unspecified.
+                assert!(
+                    v.to_bits() == want.to_bits() || (v.is_nan() && want.is_nan()),
+                    "{act}: grad {g} at {p}: {v} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gelu_helpers_keep_the_formula_bits() {
+        // The expressions `apply_scalar` and `derivative_scalar` evaluated
+        // before they shared the helpers, written out as the oracle.
+        for x in [-6.0f32, -1.0, -0.0, 0.0, 0.3, 2.0, f32::INFINITY, f32::NAN] {
+            let y = 0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh());
+            let t = (GELU_C * (x + GELU_A * x * x * x)).tanh();
+            let d =
+                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+            let g = Activation::Gelu;
+            assert_eq!(g.apply_scalar(x).to_bits(), y.to_bits(), "gelu({x})");
+            assert_eq!(g.derivative_scalar(x).to_bits(), d.to_bits(), "gelu'({x})");
+            let (yh, th) = gelu_with_tanh(x);
+            assert_eq!((yh.to_bits(), th.to_bits()), (y.to_bits(), t.to_bits()));
+            assert_eq!(gelu_derivative(x, th).to_bits(), d.to_bits(), "gelu'({x})");
         }
     }
 

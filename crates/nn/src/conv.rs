@@ -76,6 +76,78 @@ impl Conv2d {
     pub fn out_dims(&self) -> [usize; 3] {
         [self.out_channels, self.geom.out_h(), self.geom.out_w()]
     }
+
+    /// Checks `grad_out` against the last forward's batch; returns the
+    /// length of one sample's `[K, oh·ow]` gradient.
+    fn sample_grad_len(&self, grad_out: &Tensor) -> usize {
+        assert!(
+            !self.cached_cols.is_empty(),
+            "backward called before forward"
+        );
+        let [k, oh, ow] = self.out_dims();
+        assert_eq!(
+            grad_out.shape().dims(),
+            &[self.cached_cols.len(), k, oh, ow],
+            "grad shape mismatch"
+        );
+        k * oh * ow
+    }
+
+    /// The parameter half of [`Layer::backward`]: accumulates, sample by
+    /// sample, `dW += g·colsᵀ` and `db[k] += Σ_p g[k, p]` from `grad_out`
+    /// `[B, K, oh, ow]`, the gradient w.r.t. the last forward's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Layer::forward`] or on a shape mismatch.
+    pub(crate) fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        let out_len = self.sample_grad_len(grad_out);
+        let positions = self.geom.out_h() * self.geom.out_w();
+        let mut dw = Tensor::zeros(&[self.out_channels, self.geom.patch_len()]);
+        let mut sums = vec![0.0f32; self.out_channels];
+        for (bi, cols) in self.cached_cols.iter().enumerate() {
+            let g = &grad_out.data()[bi * out_len..(bi + 1) * out_len];
+
+            // dW[K, CRS] += g[K, P] · colsᵀ[P, CRS], over g's nonzeros
+            ops::matmul_nt_into(g, cols, &mut dw);
+            ops::axpy(1.0, &dw, &mut self.weight.grad);
+
+            // db[k] += sum over positions, the K sums side by side: each
+            // still folds its row from −0.0 in position order.
+            sums.fill(-0.0);
+            for p in 0..positions {
+                for (k, s) in sums.iter_mut().enumerate() {
+                    *s += g[k * positions + p];
+                }
+            }
+            for (b, s) in self.bias.grad.data_mut().iter_mut().zip(&sums) {
+                *b += s;
+            }
+        }
+    }
+
+    /// The input half of [`Layer::backward`]: per sample,
+    /// `dcols[CRS, P] = Wᵀ·g` and `dx = col2im(dcols)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Layer::forward`] or on a shape mismatch.
+    pub(crate) fn input_grad(&self, grad_out: &Tensor) -> Tensor {
+        let out_len = self.sample_grad_len(grad_out);
+        let b = self.cached_cols.len();
+        let (c, h, w) = (self.geom.in_channels, self.geom.in_h, self.geom.in_w);
+        let in_len = c * h * w;
+        let mut dx = Tensor::zeros(&[b, c, h, w]);
+        let mut dcols =
+            Tensor::zeros(&[self.geom.patch_len(), self.geom.out_h() * self.geom.out_w()]);
+        for bi in 0..b {
+            let g = &grad_out.data()[bi * out_len..(bi + 1) * out_len];
+            ops::matmul_tn_into(&self.weight.value, g, &mut dcols);
+            let dxi = col2im(&dcols, &self.geom);
+            dx.data_mut()[bi * in_len..(bi + 1) * in_len].copy_from_slice(dxi.data());
+        }
+        dx
+    }
 }
 
 impl Layer for Conv2d {
@@ -132,45 +204,8 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            !self.cached_cols.is_empty(),
-            "backward called before forward"
-        );
-        let b = self.cached_cols.len();
-        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
-        assert_eq!(
-            grad_out.shape().dims(),
-            &[b, self.out_channels, oh, ow],
-            "grad shape mismatch"
-        );
-        let out_len = self.out_channels * oh * ow;
-        let in_len = self.geom.in_channels * self.geom.in_h * self.geom.in_w;
-        let mut dx = Tensor::zeros(&[b, self.geom.in_channels, self.geom.in_h, self.geom.in_w]);
-        let wt = self.weight.value.transposed();
-
-        for bi in 0..b {
-            let g = Tensor::from_vec(
-                grad_out.data()[bi * out_len..(bi + 1) * out_len].to_vec(),
-                &[self.out_channels, oh * ow],
-            );
-            let cols = &self.cached_cols[bi];
-
-            // dW[K, CRS] += g[K, P] · colsᵀ[P, CRS]
-            let dw = ops::matmul(&g, &cols.transposed());
-            ops::axpy(1.0, &dw, &mut self.weight.grad);
-
-            // db[k] += sum over positions
-            for k in 0..self.out_channels {
-                let s: f32 = g.row(k).iter().sum();
-                self.bias.grad.data_mut()[k] += s;
-            }
-
-            // dcols[CRS, P] = Wᵀ[CRS, K] · g[K, P]; dx = col2im(dcols)
-            let dcols = ops::matmul(&wt, &g);
-            let dxi = col2im(&dcols, &self.geom);
-            dx.data_mut()[bi * in_len..(bi + 1) * in_len].copy_from_slice(dxi.data());
-        }
-        dx
+        self.accumulate_grads(grad_out);
+        self.input_grad(grad_out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -225,6 +260,53 @@ mod tests {
         let (oh, ow) = (g.out_h(), g.out_w());
         assert!(y.data()[..oh * ow].iter().all(|&v| v == 1.0));
         assert!(y.data()[oh * ow..].iter().all(|&v| v == -2.0));
+    }
+
+    /// Both halves of `backward` are bitwise the transposed-copy products
+    /// they replace, sample by sample: `dW += g·colsᵀ`, `db[k] += Σ_p
+    /// g[k, p]` folded from −0.0, and `dx = col2im(Wᵀ·g)`. The gradient is
+    /// mostly zeros, as behind ReLU and max-pool; channel 0 is all −0.0
+    /// over a −0.0 bias gradient, where only a −0.0 fold start keeps the
+    /// sign.
+    #[test]
+    fn backward_is_bitwise_the_transposed_copy_products() {
+        let mut r = seeded(23);
+        let g = small_geom();
+        let mut conv = Conv2d::new(g, 3, &mut r);
+        let x = rng::normal(&mut r, &[3, 2, 5, 5], 0.0, 1.0);
+        let y = conv.forward(&x);
+        let mut grad = rng::normal(&mut r, y.shape().dims(), 0.0, 1.0);
+        for (i, v) in grad.data_mut().iter_mut().enumerate() {
+            if i % 75 < 25 {
+                *v = -0.0;
+            } else if i % 4 != 0 {
+                *v = if i % 3 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        conv.weight.grad = rng::normal(&mut r, &[3, 18], 0.0, 1.0);
+        conv.bias.grad = Tensor::from_vec(vec![-0.0, 0.5, -1.5], &[3]);
+        let mut want_w = conv.weight.grad.clone();
+        let mut want_b = conv.bias.grad.clone();
+
+        let dx = conv.backward(&grad);
+
+        let mut want_dx = Tensor::zeros(x.shape().dims());
+        let wt = conv.weight.value.transposed();
+        for (bi, cols) in conv.cached_cols.iter().enumerate() {
+            let gb = Tensor::from_vec(grad.data()[bi * 75..(bi + 1) * 75].to_vec(), &[3, 25]);
+            ops::axpy(1.0, &ops::matmul(&gb, &cols.transposed()), &mut want_w);
+            for k in 0..3 {
+                let s: f32 = gb.row(k).iter().sum();
+                want_b.data_mut()[k] += s;
+            }
+            let dxi = col2im(&ops::matmul(&wt, &gb), &g);
+            want_dx.data_mut()[bi * 50..(bi + 1) * 50].copy_from_slice(dxi.data());
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&conv.weight.grad), bits(&want_w), "dW");
+        assert_eq!(bits(&conv.bias.grad), bits(&want_b), "db");
+        assert_eq!(conv.bias.grad.data()[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(bits(&dx), bits(&want_dx), "dx");
     }
 
     #[test]

@@ -74,6 +74,40 @@ impl Linear {
     pub fn forward_vec(&self, x: &Tensor) -> Tensor {
         ops::affine(&self.weight.value, x, &self.bias.value)
     }
+
+    /// The parameter half of [`Layer::backward`]: accumulates `dW += gᵀ·x`
+    /// and `db += Σ_b g[b]` from `grad_out` `[B, n]`, the gradient w.r.t.
+    /// the last forward's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Layer::forward`] or if `grad_out` is not
+    /// `[B, n]`.
+    pub(crate) fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward");
+        let b = x.shape().dim(0);
+        assert_eq!(grad_out.shape().dims(), &[b, self.out_features()]);
+
+        // dW[n,d] += gᵀ[n,B] · x[B,d]
+        let dw = ops::matmul_tn(grad_out, x);
+        ops::axpy(1.0, &dw, &mut self.weight.grad);
+
+        // db[n] += column sums of g
+        let db = self.bias.grad.data_mut();
+        for bi in 0..b {
+            for (g, r) in db.iter_mut().zip(grad_out.row(bi)) {
+                *g += r;
+            }
+        }
+    }
+
+    /// The input half of [`Layer::backward`]: `dx[B,d] = g[B,n] · W[n,d]`.
+    pub(crate) fn input_grad(&self, grad_out: &Tensor) -> Tensor {
+        ops::matmul(grad_out, &self.weight.value)
+    }
 }
 
 impl Layer for Linear {
@@ -102,28 +136,8 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let b = x.shape().dim(0);
-        assert_eq!(grad_out.shape().dims(), &[b, self.out_features()]);
-
-        // dW[n,d] += gᵀ[n,B] · x[B,d]
-        let gt = grad_out.transposed();
-        let dw = ops::matmul(&gt, x);
-        ops::axpy(1.0, &dw, &mut self.weight.grad);
-
-        // db[n] += column sums of g
-        for bi in 0..b {
-            let row = grad_out.row(bi).to_vec();
-            for (g, r) in self.bias.grad.data_mut().iter_mut().zip(&row) {
-                *g += r;
-            }
-        }
-
-        // dx[B,d] = g[B,n] · W[n,d]
-        ops::matmul(grad_out, &self.weight.value)
+        self.accumulate_grads(grad_out);
+        self.input_grad(grad_out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -198,6 +212,43 @@ mod tests {
             let fd = (fp - fm) / (2.0 * eps);
             assert!((fd - dx.data()[idx]).abs() < 1e-2);
         }
+    }
+
+    /// Both halves of `backward` are bitwise the transposed-copy products
+    /// they replace: `dW += matmul(gᵀ, x)`, `db += Σ_b g[b]` in batch
+    /// order, `dx = g·W`, on a gradient with zero and −0.0 entries.
+    #[test]
+    fn backward_is_bitwise_the_transposed_copy_products() {
+        let mut r = seeded(13);
+        let mut l = Linear::new(7, 5, &mut r);
+        let x = duet_tensor::rng::normal(&mut r, &[4, 7], 0.0, 1.0);
+        let _ = l.forward(&x);
+        let mut g = duet_tensor::rng::normal(&mut r, &[4, 5], 0.0, 1.0);
+        for (i, v) in g.data_mut().iter_mut().enumerate() {
+            match i % 3 {
+                0 => *v = 0.0,
+                1 if i % 2 == 0 => *v = -0.0,
+                _ => {}
+            }
+        }
+        l.weight.grad = duet_tensor::rng::normal(&mut r, &[5, 7], 0.0, 1.0);
+        l.bias.grad = duet_tensor::rng::normal(&mut r, &[5], 0.0, 1.0);
+        let mut want_w = l.weight.grad.clone();
+        ops::axpy(1.0, &ops::matmul(&g.transposed(), &x), &mut want_w);
+        let mut want_b = l.bias.grad.clone();
+        for bi in 0..4 {
+            for (b, &gv) in want_b.data_mut().iter_mut().zip(g.row(bi)) {
+                *b += gv;
+            }
+        }
+        let want_dx = ops::matmul(&g, l.weight());
+
+        let dx = l.backward(&g);
+
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&l.weight.grad), bits(&want_w), "dW");
+        assert_eq!(bits(&l.bias.grad), bits(&want_b), "db");
+        assert_eq!(bits(&dx), bits(&want_dx), "dx");
     }
 
     #[test]

@@ -24,6 +24,40 @@ enum Stage {
     },
 }
 
+impl Stage {
+    /// Backpropagates `g`, the gradient w.r.t. this stage's output:
+    /// accumulates the stage's parameter gradients and returns the
+    /// gradient w.r.t. its input.
+    fn backward(&mut self, mut g: Tensor) -> Tensor {
+        match self {
+            Stage::Linear(l) => l.backward(&g),
+            Stage::Conv(c) => c.backward(&g),
+            Stage::Pool(p) => p.backward(&g),
+            Stage::Act { act, cached_pre } => {
+                let pre = cached_pre.as_ref().expect("backward before forward");
+                assert_eq!(g.shape(), pre.shape(), "activation grad shape mismatch");
+                act.scale_by_derivative(pre.data(), g.data_mut());
+                g
+            }
+            Stage::Flatten { cached_dims } => {
+                let dims = cached_dims.as_ref().expect("backward before forward");
+                g.reshape_inplace(dims);
+                g
+            }
+        }
+    }
+
+    /// The parameter half of [`Stage::backward`], for the first stage,
+    /// whose input gradient nothing reads.
+    fn accumulate_grads(&mut self, g: &Tensor) {
+        match self {
+            Stage::Linear(l) => l.accumulate_grads(g),
+            Stage::Conv(c) => c.accumulate_grads(g),
+            Stage::Pool(_) | Stage::Act { .. } | Stage::Flatten { .. } => {}
+        }
+    }
+}
+
 /// A feed-forward stack of layers (linear / conv / pool / activation /
 /// flatten) with joint forward, backward, and a mini-batch training loop.
 ///
@@ -135,7 +169,8 @@ impl Sequential {
         cur
     }
 
-    /// Backward pass; accumulates gradients in every stage.
+    /// Backward pass; accumulates gradients in every stage and returns
+    /// the gradient w.r.t. the network's input.
     ///
     /// # Panics
     ///
@@ -143,23 +178,7 @@ impl Sequential {
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut g = grad_out.clone();
         for stage in self.stages.iter_mut().rev() {
-            g = match stage {
-                Stage::Linear(l) => l.backward(&g),
-                Stage::Conv(c) => c.backward(&g),
-                Stage::Pool(p) => p.backward(&g),
-                Stage::Act { act, cached_pre } => {
-                    let pre = cached_pre.as_ref().expect("backward before forward");
-                    assert_eq!(g.shape(), pre.shape(), "activation grad shape mismatch");
-                    for (gv, &p) in g.data_mut().iter_mut().zip(pre.data()) {
-                        *gv *= act.derivative_scalar(p);
-                    }
-                    g
-                }
-                Stage::Flatten { cached_dims } => {
-                    let dims = cached_dims.as_ref().expect("backward before forward");
-                    g.reshaped(dims)
-                }
-            };
+            g = stage.backward(g);
         }
         g
     }
@@ -195,9 +214,17 @@ impl Sequential {
     /// Panics if `targets.len()` differs from the batch size.
     pub fn train_step(&mut self, x: &Tensor, targets: &[usize], opt: &mut Optimizer) -> f32 {
         let logits = self.forward(x);
-        let (l, grad) = loss::cross_entropy(&logits, targets);
+        let (l, mut grad) = loss::cross_entropy(&logits, targets);
         self.zero_grads();
-        self.backward(&grad);
+        // [`Sequential::backward`] without its last product: the gradient
+        // w.r.t. the batch, which nothing reads, so stage 0 only
+        // accumulates its parameter gradients.
+        if let Some((first, rest)) = self.stages.split_first_mut() {
+            for stage in rest.iter_mut().rev() {
+                grad = stage.backward(grad);
+            }
+            first.accumulate_grads(&grad);
+        }
         opt.tick();
         self.visit_params(&mut |p| opt.step(p));
         l
@@ -302,6 +329,83 @@ mod tests {
                 dx.data()[idx]
             );
         }
+    }
+
+    /// `train_step` is bitwise the public steps it stands for — forward,
+    /// cross-entropy, `zero_grads`, `backward`, `tick`, `step` — though it
+    /// never computes stage 0's input gradient: after every step the loss
+    /// and each parameter's value, gradient and moments agree. On an MLP
+    /// (stage 0 a `Linear`) and a two-conv net (stage 0 a `Conv2d`, and
+    /// the second conv's input gradient still computed).
+    #[test]
+    fn train_step_is_bitwise_the_public_steps() {
+        fn state(net: &mut Sequential) -> Vec<u32> {
+            let mut bits = Vec::new();
+            net.visit_params(&mut |p| {
+                for t in [&p.value, &p.grad, &p.moment1, &p.moment2] {
+                    bits.extend(t.data().iter().map(|v| v.to_bits()));
+                }
+            });
+            bits
+        }
+        fn check(what: &str, build: impl Fn() -> Sequential, x: &Tensor, targets: &[usize]) {
+            let (mut fast, mut slow) = (build(), build());
+            let (mut opt_fast, mut opt_slow) = (Optimizer::adam(0.05), Optimizer::adam(0.05));
+            for step in 0..4 {
+                let l_fast = fast.train_step(x, targets, &mut opt_fast);
+                let logits = slow.forward(x);
+                let (l_slow, grad) = loss::cross_entropy(&logits, targets);
+                slow.zero_grads();
+                slow.backward(&grad);
+                opt_slow.tick();
+                slow.visit_params(&mut |p| opt_slow.step(p));
+                assert_eq!(
+                    l_fast.to_bits(),
+                    l_slow.to_bits(),
+                    "{what}: loss, step {step}"
+                );
+                assert!(
+                    state(&mut fast) == state(&mut slow),
+                    "{what}: params, step {step}"
+                );
+            }
+        }
+
+        let mut r = seeded(12);
+        let x = rng::normal(&mut r, &[6, 5], 0.0, 1.0);
+        let mlp = || {
+            let mut r = seeded(13);
+            let mut net = Sequential::new();
+            net.push_linear(Linear::new(5, 9, &mut r));
+            net.push_activation(Activation::Relu);
+            net.push_linear(Linear::new(9, 3, &mut r));
+            net
+        };
+        check("mlp", mlp, &x, &[0, 1, 2, 2, 1, 0]);
+
+        let geom = |c| ConvGeometry {
+            in_channels: c,
+            in_h: 6,
+            in_w: 6,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let x = rng::normal(&mut r, &[3, 1, 6, 6], 0.0, 1.0);
+        let two_conv = || {
+            let mut r = seeded(14);
+            let mut net = Sequential::new();
+            net.push_conv(Conv2d::new(geom(1), 3, &mut r));
+            net.push_activation(Activation::Relu);
+            net.push_conv(Conv2d::new(geom(3), 3, &mut r));
+            net.push_activation(Activation::Relu);
+            net.push_pool(MaxPool2d::new(2));
+            net.push_flatten();
+            net.push_linear(Linear::new(27, 2, &mut r));
+            net
+        };
+        check("two-conv", two_conv, &x, &[1, 0, 1]);
     }
 
     #[test]

@@ -41,12 +41,22 @@
 //! [`gemv`], [`affine`] and [`dot`] row dots fold from −0.0 in ascending
 //! index, as `f32`'s `Sum` does ([`affine`] adds the bias last);
 //! [`gemv_t`] folds each output `y[j]` from −0.0 over ascending rows `i`
-//! with no zero skip, so it is bitwise `gemv(&w.transposed(), v)`; and
+//! with no zero skip, so it is bitwise `gemv(&w.transposed(), v)`;
 //! [`matmul`] accumulates each output over `k` from +0.0 in the order of
-//! [`matmul_naive`]. Rust never contracts `a * b + c` into a fused
-//! multiply-add, so the order fixes the bits on every target. Every
-//! committed `results/` artifact, checksum and pin comes from this one
-//! arithmetic, and so does every dense twin a dual path is compared with.
+//! [`matmul_naive`], skipping the zero elements of its left operand; and
+//! the transposed-operand GEMMs keep that order and that skip on the
+//! transpose they read in place: [`matmul_tn`] (`Aᵀ·B`, through
+//! [`matmul`]'s own naive and stripe kernels) is bitwise
+//! `matmul(&a.transposed(), b)`, and
+//! [`matmul_nt_into`] (`A·Bᵀ`, which folds each output over the nonzero
+//! entries of its A row only) is bitwise `matmul(a, &b.transposed())`.
+//! Backprop uses these three products and no transposed copy; training
+//! (`duet_nn::Sequential::train_step`) never computes the input gradient
+//! of its first stage, which nothing reads. Rust never contracts
+//! `a * b + c` into a fused multiply-add, so the order fixes the bits on
+//! every target. Every committed `results/` artifact, checksum and pin
+//! comes from this one arithmetic, and so does every dense twin a dual
+//! path is compared with.
 //!
 //! [`matmul_naive`] is the original three-loop kernel, kept as the
 //! reference implementation the blocked/parallel paths are tested against
@@ -141,9 +151,165 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         // durations exposes load imbalance (max vs. p50), and in a trace
         // the stripes render as parallel slices on per-thread tracks.
         let _stripe = duet_obs::span("tensor.gemm.stripe");
-        gemm_rows(ad, bd, chunk, rows.start, rows.len(), k, n);
+        gemm_rows::<false>(ad, bd, chunk, rows.start, rows.len(), m, k, n);
     });
     c
+}
+
+/// Transposed-operand GEMM `C = Aᵀ · B` for `a: [k, m]` and `b: [k, n]`:
+/// `c[i, j] = Σ_kk a[kk, i]·b[kk, j]` (backprop's `gᵀ·x` and `Wᵀ·g`).
+///
+/// Bitwise `matmul(&a.transposed(), b)` at every thread count, without
+/// the transposed copy: each output accumulates over ascending `kk` from
+/// +0.0 and skips the zero elements of `a`, as [`matmul_naive`] skips
+/// the zeros of its left operand. Above [`PAR_MIN_FLOPS`] work the output
+/// rows are striped over threads.
+///
+/// # Panics
+///
+/// Panics if the tensors are not 2-D or their row counts disagree.
+pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_eq!(a.shape().rank(), 2, "matmul_tn lhs must be 2-D");
+    assert_eq!(b.shape().rank(), 2, "matmul_tn rhs must be 2-D");
+    assert_eq!(
+        a.shape().dim(0),
+        b.shape().dim(0),
+        "matmul_tn row count mismatch: {} vs {}",
+        a.shape(),
+        b.shape()
+    );
+    let mut c = Tensor::zeros(&[a.shape().dim(1), b.shape().dim(1)]);
+    matmul_tn_into(a, b.data(), &mut c);
+    c
+}
+
+/// [`matmul_tn`] into `out` `[m, n]`, with `b` the row-major `[k, n]`
+/// data: `out` is overwritten with the same bits.
+///
+/// # Panics
+///
+/// Panics if `a` or `out` is not 2-D or the shapes disagree.
+pub fn matmul_tn_into(a: &Tensor, b: &[f32], out: &mut Tensor) {
+    assert_eq!(a.shape().rank(), 2, "matmul_tn lhs must be 2-D");
+    let (k, m) = (a.shape().dim(0), a.shape().dim(1));
+    gemm_t::<false>(a.data(), b, out, m, k, parallel::num_threads());
+}
+
+/// Transposed-operand GEMM `C = A · Bᵀ` for row-major `a` `[m, k]` data
+/// and `b: [n, k]`: `c[i, j] = Σ_kk a[i, kk]·b[j, kk]` (a convolution's
+/// `g·colsᵀ`), overwriting `out` `[m, n]`.
+///
+/// Bitwise `matmul(a, &b.transposed())` at every thread count, without
+/// the transposed copy: each output accumulates over ascending `kk` from
+/// +0.0 and skips the zero elements of `a`, so a sparse `a` (a gradient
+/// behind ReLU and max-pool) costs only its nonzero entries. Above
+/// [`PAR_MIN_FLOPS`] work the output rows are striped over threads.
+///
+/// # Panics
+///
+/// Panics if `b` or `out` is not 2-D or the shapes disagree.
+pub fn matmul_nt_into(a: &[f32], b: &Tensor, out: &mut Tensor) {
+    assert_eq!(b.shape().rank(), 2, "matmul_nt rhs must be 2-D");
+    assert_eq!(out.shape().rank(), 2, "matmul_nt output must be 2-D");
+    let (m, k) = (out.shape().dim(0), b.shape().dim(1));
+    assert_eq!(a.len(), m * k, "matmul_nt lhs must be [{m}, {k}]");
+    gemm_t::<true>(a, b.data(), out, m, k, parallel::num_threads());
+}
+
+/// The transposed-operand GEMMs' driver: overwrites `out` `[m, n]` with
+/// `Aᵀ·B` (`a` stored `[k, m]`, through [`matmul`]'s kernels: the naive
+/// loop below [`BLOCKED_MIN_FLOPS`], the stripe kernel [`gemm_rows`]
+/// above) or, when `NT`, with `A·Bᵀ` (`b` stored `[n, k]`, through
+/// [`gemm_nt_rows`]), striping the output rows over threads above
+/// [`PAR_MIN_FLOPS`].
+fn gemm_t<const NT: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut Tensor,
+    m: usize,
+    k: usize,
+    threads: usize,
+) {
+    assert_eq!(out.shape().rank(), 2, "GEMM output must be 2-D");
+    assert_eq!(out.shape().dim(0), m, "GEMM output must have {m} rows");
+    let n = out.shape().dim(1);
+    assert_eq!(a.len(), m * k, "GEMM lhs length mismatch");
+    assert_eq!(b.len(), k * n, "GEMM rhs length mismatch");
+    let flops = m * k * n;
+    let threads = if flops >= PAR_MIN_FLOPS {
+        threads.clamp(1, m)
+    } else {
+        1
+    };
+    duet_obs::counter!("tensor.gemm_t.calls").inc();
+    duet_obs::counter!("tensor.gemm_t.flops").add(2 * flops as u64);
+    let c = out.data_mut();
+    c.fill(0.0);
+    if !NT && flops < BLOCKED_MIN_FLOPS {
+        gemm_naive::<true>(a, b, c, m, k, n);
+        return;
+    }
+    parallel::for_each_row_chunk(c, m, n, threads, |rows, chunk| {
+        if NT {
+            gemm_nt_rows(a, b, chunk, rows.start, k, n);
+        } else {
+            gemm_rows::<true>(a, b, chunk, rows.start, rows.len(), m, k, n);
+        }
+    });
+}
+
+/// Output columns [`gemm_nt_rows`] folds side by side, one register
+/// accumulator each.
+const NT_LANES: usize = 8;
+
+/// Overwrites `chunk`, whole `n`-wide C rows from global row `row0` on,
+/// with those rows of `C = A·Bᵀ`, for `ad` `[m, k]` and `bd` `[n, k]`.
+/// Each row gathers the nonzero entries of its A row once, so a sparse A
+/// costs only those; every output then folds them over ascending `kk`
+/// from +0.0 as `c += a·b`, [`NT_LANES`] outputs side by side, which is
+/// the order and the skip of [`matmul_naive`] on the transposed copy of B.
+fn gemm_nt_rows(ad: &[f32], bd: &[f32], chunk: &mut [f32], row0: usize, k: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    let mut nz = vec![(0usize, 0.0f32); k];
+    for (local, crow) in chunk.chunks_exact_mut(n).enumerate() {
+        let i = row0 + local;
+        // Branch-free compaction: every entry is written, only the
+        // nonzero ones advance the count (a branch per entry mispredicts
+        // on a gradient's scattered zeros).
+        let mut len = 0;
+        for (kk, &av) in ad[i * k..(i + 1) * k].iter().enumerate() {
+            nz[len] = (kk, av);
+            len += usize::from(av != 0.0);
+        }
+        let nz = &nz[..len];
+        let (lanes, tail) = crow.split_at_mut(n - n % NT_LANES);
+        for (j0, c) in (0..)
+            .step_by(NT_LANES)
+            .zip(lanes.chunks_exact_mut(NT_LANES))
+        {
+            c.copy_from_slice(&nt_lanes::<NT_LANES>(nz, bd, k, j0));
+        }
+        let full = lanes.len();
+        for (j, c) in (full..).zip(tail) {
+            *c = nt_lanes::<1>(nz, bd, k, j)[0];
+        }
+    }
+}
+
+/// Outputs `j0..j0 + N` of one row of `A·Bᵀ` from that A row's nonzero
+/// `(kk, a)` entries in ascending `kk`, each folded from +0.0.
+#[inline(always)]
+fn nt_lanes<const N: usize>(nz: &[(usize, f32)], bd: &[f32], k: usize, j0: usize) -> [f32; N] {
+    let brows: [&[f32]; N] = std::array::from_fn(|jj| &bd[(j0 + jj) * k..(j0 + jj + 1) * k]);
+    let mut acc = [0.0f32; N];
+    for &(kk, av) in nz {
+        for (s, brow) in acc.iter_mut().zip(&brows) {
+            *s += av * brow[kk];
+        }
+    }
+    acc
 }
 
 /// The original three-loop i-k-j kernel with the per-element zero-skip
@@ -156,12 +322,24 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
 pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = assert_matmul_shapes(a, b);
     let mut c = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    let cd = c.data_mut();
+    gemm_naive::<false>(a.data(), b.data(), c.data_mut(), m, k, n);
+    c
+}
+
+/// [`matmul_naive`]'s loop on raw data: accumulates `C = op(A)·B` into
+/// `cd` `[m, n]`, with `op(A)` `[m, k]`: `A` is stored `[m, k]`, or
+/// `[k, m]` and read transposed when `TA`.
+fn gemm_naive<const TA: bool>(
+    ad: &[f32],
+    bd: &[f32],
+    cd: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     for i in 0..m {
         for kk in 0..k {
-            let aik = ad[i * k + kk];
+            let aik = if TA { ad[kk * m + i] } else { ad[i * k + kk] };
             if aik == 0.0 {
                 continue;
             }
@@ -172,39 +350,51 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
             }
         }
     }
-    c
 }
 
 /// Computes `rows_len` C rows starting at global row `row0` into `chunk`
-/// (the disjoint `[rows_len × n]` window of C owned by this worker).
+/// (the disjoint `[rows_len × n]` window of C owned by this worker), for
+/// `C = op(A)·B` with `op(A)` `[m, k]`: `A` is stored `[m, k]`, or
+/// `[k, m]` and read transposed when `TA`.
 ///
 /// Rows are processed in stripes of [`MR`] and columns in blocks of
 /// [`NC`]; within one (stripe, block) pair the `k` sweep reuses each B row
 /// segment [`MR`] times from L1 while the stripe's C segments also stay
 /// L1-resident. The inner update skips zero A elements exactly like
 /// [`matmul_naive`] and accumulates in the same order, so the result is
-/// bitwise identical to the naive reference.
-fn gemm_rows(
+/// bitwise identical to the naive reference (of the transposed copy, for
+/// `TA`).
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows<const TA: bool>(
     ad: &[f32],
     bd: &[f32],
     chunk: &mut [f32],
     row0: usize,
     rows_len: usize,
+    m: usize,
     k: usize,
     n: usize,
 ) {
     let mut i = 0;
     while i < rows_len {
         let mr = MR.min(rows_len - i);
-        let arows = &ad[(row0 + i) * k..(row0 + i + mr) * k];
+        let (a0, a1) = (row0 + i, row0 + i + mr);
+        // The stripe's A rows as stored; with `TA` they are columns
+        // a0..a1 of the stored [k, m], sliced per `kk` below.
+        let arows = if TA { &[][..] } else { &ad[a0 * k..a1 * k] };
         let crows = &mut chunk[i * n..(i + mr) * n];
         let mut j0 = 0;
         while j0 < n {
             let w = NC.min(n - j0);
             for kk in 0..k {
+                let acol = if TA {
+                    &ad[kk * m + a0..kk * m + a1]
+                } else {
+                    &[][..]
+                };
                 let brow = &bd[kk * n + j0..kk * n + j0 + w];
                 for r in 0..mr {
-                    let av = arows[r * k + kk];
+                    let av = if TA { acol[r] } else { arows[r * k + kk] };
                     if av == 0.0 {
                         continue;
                     }
@@ -575,6 +765,115 @@ mod tests {
             let ct = matmul_with_threads(&a, &b, threads);
             assert_eq!(c1, ct, "threads={threads} must be bitwise identical");
         }
+    }
+
+    /// Pins `matmul_tn` and `matmul_nt_into` to `matmul` of the
+    /// transposed copy, bit for bit at 1, 4 and 7 threads: the same zero
+    /// skip on the left operand, ascending `k`, a +0.0 start. Shapes sit
+    /// on both sides of `BLOCKED_MIN_FLOPS` (where the reference switches
+    /// from the naive to the blocked kernel) and of `PAR_MIN_FLOPS`;
+    /// operands carry zeros, −0.0, ±∞ and NaN.
+    #[test]
+    fn transposed_operand_gemms_are_bitwise_matmul_of_the_copies() {
+        // Bits, with every NaN as one value: Rust leaves the sign and
+        // payload of a computed NaN unspecified.
+        fn bits(t: &Tensor) -> Vec<u32> {
+            t.data()
+                .iter()
+                .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+                .collect()
+        }
+        // Zeros of both signs on 40% of the entries; ±∞ and NaN rarer
+        // the longer the fold, so an output meets about one of them.
+        fn salt(t: &mut Tensor, k: usize, r: &mut crate::rng::Rng) {
+            let inf = 0.3 / k.max(1) as f32;
+            for v in t.data_mut() {
+                let u: f32 = r.random();
+                *v = match u {
+                    u if u < 0.25 => 0.0,
+                    u if u < 0.4 => -0.0,
+                    u if u < 0.4 + inf => f32::INFINITY,
+                    u if u < 0.4 + 2.0 * inf => f32::NEG_INFINITY,
+                    u if u < 0.4 + 3.0 * inf => f32::NAN,
+                    _ => *v,
+                };
+            }
+        }
+        // (k, m, n): 3·4·5 = 60 and 31·32·32 = 31 744 run the naive
+        // loop (the reference's and `matmul_tn`'s), 33·32·32 = 33 792 and 63·64·64 = 258 048 the serial
+        // blocked one, 65·64·64 = 266 240 and 300·3·300 = 270 000 (fewer
+        // rows than threads) fan out; 0 and 1 are the empty and unit
+        // folds.
+        let shapes = [
+            (3usize, 4usize, 5usize),
+            (0, 3, 4),
+            (4, 0, 3),
+            (1, 1, 1),
+            (31, 32, 32),
+            (33, 32, 32),
+            (63, 64, 64),
+            (65, 64, 64),
+            (300, 3, 300),
+        ];
+        let mut r = rng::seeded(3100);
+        for (si, &(k, m, n)) in shapes.iter().enumerate() {
+            for salted in [false, true] {
+                let what = format!("shape {si} (k {k}, m {m}, n {n}), salted {salted}");
+                let mut at = rng::normal(&mut r, &[k, m], 0.0, 1.0); // Aᵀ stored [k, m]
+                let mut b = rng::normal(&mut r, &[k, n], 0.0, 1.0);
+                let mut a = rng::normal(&mut r, &[m, k], 0.0, 1.0);
+                let mut bt = rng::normal(&mut r, &[n, k], 0.0, 1.0); // Bᵀ stored [n, k]
+                if salted {
+                    for t in [&mut at, &mut b, &mut a, &mut bt] {
+                        salt(t, k, &mut r);
+                    }
+                }
+                let tn_want = bits(&matmul_with_threads(&at.transposed(), &b, 1));
+                let nt_want = bits(&matmul_with_threads(&a, &bt.transposed(), 1));
+                for threads in [1usize, 4, 7] {
+                    let tn_ref = matmul_with_threads(&at.transposed(), &b, threads);
+                    assert_eq!(bits(&tn_ref), tn_want, "{what}: TN reference, {threads}");
+                    let nt_ref = matmul_with_threads(&a, &bt.transposed(), threads);
+                    assert_eq!(bits(&nt_ref), nt_want, "{what}: NT reference, {threads}");
+
+                    let mut out = Tensor::full(&[m, n], f32::NAN);
+                    gemm_t::<false>(at.data(), b.data(), &mut out, m, k, threads);
+                    assert_eq!(bits(&out), tn_want, "{what}: TN, threads {threads}");
+                    let mut out = Tensor::full(&[m, n], -0.0);
+                    gemm_t::<true>(a.data(), bt.data(), &mut out, m, k, threads);
+                    assert_eq!(bits(&out), nt_want, "{what}: NT, threads {threads}");
+                }
+                assert_eq!(bits(&matmul_tn(&at, &b)), tn_want, "{what}: matmul_tn");
+                let mut out = Tensor::full(&[m, n], f32::NAN);
+                matmul_tn_into(&at, b.data(), &mut out);
+                assert_eq!(bits(&out), tn_want, "{what}: matmul_tn_into");
+                let mut out = Tensor::full(&[m, n], f32::NAN);
+                matmul_nt_into(a.data(), &bt, &mut out);
+                assert_eq!(bits(&out), nt_want, "{what}: matmul_nt_into");
+            }
+        }
+
+        // The cases the salt only hits by chance, spelled out on a 2×2
+        // (k = 2): a skipped zero times ∞ stays skipped; a zero of the
+        // right operand times ∞ is not skipped; every skipped product
+        // leaves the +0.0 start.
+        let a = t(vec![0.0, 1.0, -0.0, f32::INFINITY], &[2, 2]);
+        let b = t(vec![f32::INFINITY, 2.0, 0.0, f32::NEG_INFINITY], &[2, 2]);
+        let c = matmul_with_threads(&a, &b, 1);
+        let c_nt = {
+            let mut out = Tensor::zeros(&[2, 2]);
+            matmul_nt_into(a.data(), &b.transposed(), &mut out);
+            out
+        };
+        let c_tn = matmul_tn(&a.transposed(), &b);
+        for got in [&c_nt, &c_tn] {
+            assert_eq!(bits(got), bits(&c));
+        }
+        // Row 0 of A is [0, 1]: 0·∞ is skipped, then 1·0 = 0, 1·(−∞).
+        assert_eq!(c.data()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(c.data()[1], f32::NEG_INFINITY);
+        // Row 1 is [−0.0, ∞]: −0.0 is skipped, ∞·0 is NaN.
+        assert!(c.data()[2].is_nan());
     }
 
     #[test]

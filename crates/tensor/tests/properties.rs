@@ -90,7 +90,7 @@ fn blocked_matmul_matches_naive_on_odd_shapes() {
         let a = matrix(&mut r, m, k, 2.0);
         let b = matrix(&mut r, k, n, 2.0);
         let reference = ops::matmul_naive(&a, &b);
-        for threads in [1usize, 4] {
+        for threads in [1usize, 4, 7] {
             let c = ops::matmul_with_threads(&a, &b, threads);
             assert_eq!(c.shape(), reference.shape());
             for (x, y) in c.data().iter().zip(reference.data()) {
@@ -115,7 +115,7 @@ fn gemv_matches_naive_on_odd_shapes() {
         let mut r = rng::seeded(2000 + si as u64);
         let w = matrix(&mut r, n, d, 1.0);
         let x = vector(&mut r, d, 1.0);
-        for threads in [1usize, 4] {
+        for threads in [1usize, 4, 7] {
             let y = ops::gemv_with_threads(&w, &x, threads);
             for i in 0..n {
                 let mut acc = -0.0f32;

@@ -9,7 +9,8 @@
 //! paths that variable selects.
 
 use duet_tensor::ops::{
-    affine_with_threads, gemv_t_with_threads, gemv_with_threads, matmul_with_threads,
+    affine_with_threads, gemv_t_with_threads, gemv_with_threads, matmul_nt_into, matmul_tn,
+    matmul_with_threads,
 };
 use duet_tensor::{rng, Tensor};
 
@@ -26,6 +27,8 @@ fn run_workload(threads: usize) -> Vec<(&'static str, u64)> {
         "tensor.affine.flops",
         "tensor.gemv_t.calls",
         "tensor.gemv_t.flops",
+        "tensor.gemm_t.calls",
+        "tensor.gemm_t.flops",
     ];
     let before: Vec<u64> = keys
         .iter()
@@ -46,6 +49,11 @@ fn run_workload(threads: usize) -> Vec<(&'static str, u64)> {
     let _y = gemv_with_threads(&w, &x, threads);
     let _z = affine_with_threads(&w, &x, &bias, threads);
     let _t = gemv_t_with_threads(&w, &bias, threads);
+    // The transposed-operand GEMMs run at the process's thread count; the
+    // counters are taken before their fan-out.
+    let _tn = matmul_tn(&a, &a); // [80, 96] · [96, 80]
+    let mut nt = Tensor::zeros(&[96, 72]);
+    matmul_nt_into(a.data(), &b.transposed(), &mut nt); // [96, 80] · [80, 72]
 
     keys.iter()
         .zip(before)
@@ -84,4 +92,9 @@ fn counters_sum_identically_across_thread_counts() {
     assert_eq!(get("tensor.affine.flops"), 2 * 300 * 1000 + 300);
     assert_eq!(get("tensor.gemv_t.calls"), 1);
     assert_eq!(get("tensor.gemv_t.flops"), 2 * 300 * 1000);
+    assert_eq!(get("tensor.gemm_t.calls"), 2);
+    assert_eq!(
+        get("tensor.gemm_t.flops"),
+        2 * 80 * 96 * 80 + 2 * 96 * 80 * 72
+    );
 }

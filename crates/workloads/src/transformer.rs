@@ -21,9 +21,10 @@ use duet_core::{
     DualAttention, DualFfn, DualProjection, DualTransformerBlock, SavingsReport,
     TransformerThresholds,
 };
+use duet_nn::activation::{gelu_derivative, gelu_with_tanh};
 use duet_nn::attention::{attend, attend_backward, AttentionCache};
 use duet_nn::layer::{outer_accumulate, Param};
-use duet_nn::{loss, Activation, Optimizer};
+use duet_nn::{loss, Optimizer};
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -74,11 +75,12 @@ pub struct TransformerLm {
 struct BlockTrace {
     xs: Tensor, // [L, m] block inputs (embed + pos)
     caches: Vec<AttentionCache>,
-    ctx: Tensor,   // [L, m] attention mixer outputs
-    a: Tensor,     // [L, m] post-attention residual
-    h_pre: Tensor, // [L, f]
-    h: Tensor,     // [L, f] gelu(h_pre)
-    y: Tensor,     // [L, m] block outputs
+    ctx: Tensor,    // [L, m] attention mixer outputs
+    a: Tensor,      // [L, m] post-attention residual
+    h_pre: Tensor,  // [L, f]
+    h: Tensor,      // [L, f] gelu(h_pre)
+    h_tanh: Tensor, // [L, f] the tanh inside gelu(h_pre), for its derivative
+    y: Tensor,      // [L, m] block outputs
 }
 
 fn row(t: &Tensor, i: usize, w: usize) -> Tensor {
@@ -199,14 +201,14 @@ impl TransformerLm {
         }
         let mut h_pre = Tensor::zeros(&[l, f]);
         let mut h = Tensor::zeros(&[l, f]);
+        let mut h_tanh = Tensor::zeros(&[l, f]);
         let mut y = Tensor::zeros(&[l, m]);
         for t in 0..l {
             let a_t = a.row(t);
             affine_forward(&self.w1, &self.b1, a_t, h_pre.row_mut(t));
             let h_t = h.row_mut(t);
-            h_t.copy_from_slice(h_pre.row(t));
-            for hv in h_t.iter_mut() {
-                *hv = Activation::Gelu.apply_scalar(*hv);
+            for ((hv, tv), &pre) in h_t.iter_mut().zip(h_tanh.row_mut(t)).zip(h_pre.row(t)) {
+                (*hv, *tv) = gelu_with_tanh(pre);
             }
             let y_t = y.row_mut(t);
             affine_forward(&self.w2, &self.b2, h.row(t), y_t);
@@ -219,6 +221,7 @@ impl TransformerLm {
             a,
             h_pre,
             h,
+            h_tanh,
             y,
         }
     }
@@ -257,8 +260,12 @@ impl TransformerLm {
 
             // FFN backward: y = a + W2·gelu(W1·a + b1) + b2
             affine_backward(&mut self.w2, &mut self.b2, &dy, trace.h.row(t), &mut dh);
-            for (d, &hp) in dh.iter_mut().zip(trace.h_pre.row(t)) {
-                *d *= Activation::Gelu.derivative_scalar(hp);
+            for ((d, &hp), &ht) in dh
+                .iter_mut()
+                .zip(trace.h_pre.row(t))
+                .zip(trace.h_tanh.row(t))
+            {
+                *d *= gelu_derivative(hp, ht);
             }
             affine_backward(&mut self.w1, &mut self.b1, &dh, trace.a.row(t), &mut da);
             add_assign(&mut da, &dy); // residual 2
