@@ -94,20 +94,22 @@ pub fn ridge_fit(z: &Tensor, y: &Tensor, lambda: f32) -> Tensor {
     assert_eq!(y.shape().dim(1), s, "sample count mismatch");
     let n = y.shape().dim(0);
 
-    // G = Z Zᵀ + λ·scale·I  (k×k),   B = Y Zᵀ  (n×k).
+    // G = Z Zᵀ + λ·scale·I  (k×k),   B = Y Zᵀ  (n×k), both read Z in
+    // place (bitwise `matmul` against a transposed copy).
     // The ridge scales with the Gram matrix's mean diagonal so that
     // rank-deficient calibration sets (real activations often live in a
     // low-dimensional subspace) stay numerically positive definite in
     // f32.
-    let zt = z.transposed();
-    let mut g = ops::matmul(z, &zt);
+    let mut g = Tensor::zeros(&[k, k]);
+    ops::matmul_nt_into(z.data(), z, &mut g);
     let mean_diag: f32 = (0..k).map(|i| g.data()[i * k + i]).sum::<f32>() / k as f32;
     let ridge = lambda * mean_diag.max(1.0);
     for i in 0..k {
         let off = i * k + i;
         g.data_mut()[off] += ridge;
     }
-    let b = ops::matmul(y, &zt);
+    let mut b = Tensor::zeros(&[n, k]);
+    ops::matmul_nt_into(y.data(), z, &mut b);
 
     // Solve G w_iᵀ = b_iᵀ for each output row i.
     let mut w = Tensor::zeros(&[n, k]);
@@ -302,6 +304,34 @@ mod tests {
         let w_fit = ridge_fit(&z, &y, 1e-8);
         for (a, b) in w_true.data().iter().zip(w_fit.data()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn ridge_fit_is_bitwise_its_transposed_copy_form() {
+        // The Gram and cross products read Z in place; the form that
+        // multiplied by a transposed copy of Z is the oracle, bit for bit
+        // (zeros in Z are skipped by both).
+        let mut r = seeded(3);
+        for (k, s, n) in [(8, 192, 6), (16, 257, 9), (32, 300, 12), (64, 500, 16)] {
+            let mut z = rng::normal(&mut r, &[k, s], 0.0, 1.0);
+            for v in z.data_mut().iter_mut().step_by(5) {
+                *v = 0.0;
+            }
+            let y = rng::normal(&mut r, &[n, s], 0.0, 1.0);
+            let zt = z.transposed();
+            let mut g = ops::matmul(&z, &zt);
+            let mean_diag: f32 = (0..k).map(|i| g.data()[i * k + i]).sum::<f32>() / k as f32;
+            for i in 0..k {
+                g.data_mut()[i * k + i] += DEFAULT_RIDGE * mean_diag.max(1.0);
+            }
+            let b = ops::matmul(&y, &zt);
+            let w = ridge_fit(&z, &y, DEFAULT_RIDGE);
+            for i in 0..n {
+                let want = solve_spd(&g, &Tensor::from_vec(b.row(i).to_vec(), &[k]));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(w.row(i)), bits(want.data()), "k {k} s {s} row {i}");
+            }
         }
     }
 

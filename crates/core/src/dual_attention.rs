@@ -29,6 +29,16 @@
 //! projections' O(T·m²), has no insensitive region (weights must sum
 //! to 1, and a wrong max shifts every weight), and reuses no weight
 //! bytes — there is nothing for a speculator to save.
+//!
+//! Attention, FFN and block are each written once, as a private
+//! composition that runs every projection through a step: speculated
+//! ([`DualProjection::forward_into`] on the pass's engine, its map
+//! appended to the pass's list) for [`DualTransformerBlock::forward`], or
+//! dense ([`DualProjection::forward_reference_into`], the engine's own
+//! element order) for [`DualTransformerBlock::forward_dense`]. The dense
+//! pass is thus the dual pass with every lane exact — bitwise-equal to it
+//! at θ = −∞ by construction — and runs no engine, opens no span and
+//! collects no maps.
 
 use crate::dual_proj::{DualProjection, ProjectionCosts};
 use crate::engine::SpeculationEngine;
@@ -136,46 +146,17 @@ impl DualAttention {
         self.wq.costs() + self.wk.costs() + self.wv.costs() + self.wo.costs()
     }
 
-    /// Causal forward over a `[T, m]` sequence on a shared engine:
-    /// Q/K/V per position (speculated), dense causal
-    /// [`attend`] mix, speculated output projection. Returns the
-    /// `[T, m]` attention outputs and the switching maps in
-    /// (q, k, v, o) order per position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is not `[T, m]`.
-    pub fn forward_with(
-        &self,
-        engine: &mut SpeculationEngine,
-        xs: &Tensor,
-        theta_attn: f32,
-    ) -> (Tensor, Vec<SwitchingMap>) {
-        let mut maps = Vec::new();
-        let out = self.forward_maps_into(engine, xs, theta_attn, &mut maps);
-        (out, maps)
-    }
-
-    /// [`DualAttention::forward_with`] appending its maps to the caller's
-    /// list (reserving room for them), so a block can reserve its whole
-    /// list once.
-    fn forward_maps_into(
-        &self,
-        engine: &mut SpeculationEngine,
-        xs: &Tensor,
-        theta_attn: f32,
-        maps: &mut Vec<SwitchingMap>,
-    ) -> Tensor {
-        assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
-        assert_eq!(xs.shape().dim(1), self.m, "model dim mismatch");
-        let t_len = xs.shape().dim(0);
-        let m = self.m;
+    /// The attention composition over a `[T, m]` sequence: Q/K/V per
+    /// position, the dense causal [`attend`] mix, the output projection,
+    /// each projection through `step`. With `Step::Dual` the maps come
+    /// in (q, k, v per position, then o per position) order.
+    fn compose(&self, step: &mut Step, xs: &Tensor, theta_attn: f32) -> Tensor {
+        let (t_len, m) = (xs.shape().dim(0), self.m);
         let policy = SwitchingPolicy::magnitude(theta_attn);
 
         let mut q_all = vec![0.0f32; t_len * m];
         let mut k_all = vec![0.0f32; t_len * m];
         let mut v_all = vec![0.0f32; t_len * m];
-        maps.reserve(4 * t_len);
         for t in 0..t_len {
             let rows = t * m..(t + 1) * m;
             let x_t = &xs.data()[rows.clone()];
@@ -184,8 +165,7 @@ impl DualAttention {
                 (&self.wk, &mut k_all),
                 (&self.wv, &mut v_all),
             ] {
-                let out = &mut out[rows.clone()];
-                maps.push(proj.forward_into(engine, &policy, x_t, out));
+                step.project(proj, &policy, x_t, &mut out[rows.clone()]);
             }
         }
 
@@ -193,37 +173,7 @@ impl DualAttention {
         for t in 0..t_len {
             let ctx = Self::context(&q_all, &k_all, &v_all, t, m);
             let out_t = &mut out.data_mut()[t * m..(t + 1) * m];
-            maps.push(self.wo.forward_into(engine, &policy, ctx.data(), out_t));
-        }
-        out
-    }
-
-    /// Dense reference over the sequence, in the exact arithmetic order
-    /// of the sparse path — bitwise-equal to
-    /// [`DualAttention::forward_with`] when every lane is sensitive
-    /// (θ = −∞).
-    pub fn forward_reference(&self, xs: &Tensor) -> Tensor {
-        assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
-        assert_eq!(xs.shape().dim(1), self.m, "model dim mismatch");
-        let t_len = xs.shape().dim(0);
-        let m = self.m;
-        let mut q_all = vec![0.0f32; t_len * m];
-        let mut k_all = vec![0.0f32; t_len * m];
-        let mut v_all = vec![0.0f32; t_len * m];
-        for t in 0..t_len {
-            let rows = t * m..(t + 1) * m;
-            let x_t = &xs.data()[rows.clone()];
-            self.wq
-                .forward_reference_into(x_t, &mut q_all[rows.clone()]);
-            self.wk
-                .forward_reference_into(x_t, &mut k_all[rows.clone()]);
-            self.wv.forward_reference_into(x_t, &mut v_all[rows]);
-        }
-        let mut out = Tensor::zeros(&[t_len, m]);
-        for t in 0..t_len {
-            let ctx = Self::context(&q_all, &k_all, &v_all, t, m);
-            self.wo
-                .forward_reference_into(ctx.data(), &mut out.data_mut()[t * m..(t + 1) * m]);
+            step.project(&self.wo, &policy, ctx.data(), out_t);
         }
         out
     }
@@ -292,67 +242,20 @@ impl DualFfn {
         self.expand.costs() + self.contract.costs()
     }
 
-    /// One position through the FFN on a shared engine:
-    /// `W_2·gelu(W_1·x + b_1) + b_2`, both GEMVs speculated. Returns
-    /// the `[m]` output and the (expand, contract) maps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[m]`.
-    pub fn forward_with(
-        &self,
-        engine: &mut SpeculationEngine,
-        x: &Tensor,
-        theta_gelu: f32,
-        theta_out: f32,
-    ) -> (Tensor, [SwitchingMap; 2]) {
-        let mut y = Tensor::zeros(&[self.model_dim()]);
-        let maps = self.forward_into(engine, x.data(), y.data_mut(), theta_gelu, theta_out);
-        (y, maps)
-    }
-
-    /// [`DualFfn::forward_with`] into the caller's `out` (`[m]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` is not `[m]`.
-    pub fn forward_into(
-        &self,
-        engine: &mut SpeculationEngine,
-        x: &[f32],
-        out: &mut [f32],
-        theta_gelu: f32,
-        theta_out: f32,
-    ) -> [SwitchingMap; 2] {
+    /// One position through the FFN composition into `out` (`[m]`):
+    /// `W_2·gelu(W_1·x + b_1) + b_2`, each projection through `step`
+    /// (maps in (expand, contract) order).
+    fn compose(&self, step: &mut Step, x: &[f32], out: &mut [f32], th: &TransformerThresholds) {
         let mut h = vec![0.0f32; self.hidden_dim()];
-        let m1 = self
-            .expand
-            .forward_into(engine, &SwitchingPolicy::gelu(theta_gelu), x, &mut h);
+        step.project(
+            &self.expand,
+            &SwitchingPolicy::gelu(th.theta_gelu),
+            x,
+            &mut h,
+        );
         gelu_in_place(&mut h);
-        let m2 =
-            self.contract
-                .forward_into(engine, &SwitchingPolicy::magnitude(theta_out), &h, out);
-        [m1, m2]
-    }
-
-    /// Dense reference in the sparse path's arithmetic order —
-    /// bitwise-equal to [`DualFfn::forward_with`] at θ = −∞.
-    pub fn forward_reference(&self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::zeros(&[self.model_dim()]);
-        self.forward_reference_into(x.data(), y.data_mut());
-        y
-    }
-
-    /// [`DualFfn::forward_reference`] into the caller's `out` (`[m]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` is not `[m]`.
-    pub fn forward_reference_into(&self, x: &[f32], out: &mut [f32]) {
-        let mut h = vec![0.0f32; self.hidden_dim()];
-        self.expand.forward_reference_into(x, &mut h);
-        gelu_in_place(&mut h);
-        self.contract.forward_reference_into(&h, out);
+        let contract = SwitchingPolicy::magnitude(th.theta_ffn_out);
+        step.project(&self.contract, &contract, &h, out);
     }
 }
 
@@ -360,6 +263,33 @@ impl DualFfn {
 fn gelu_in_place(h: &mut [f32]) {
     for v in h {
         *v = Activation::Gelu.apply_scalar(*v);
+    }
+}
+
+/// How a composition runs each projection: speculated on the pass's
+/// engine with the map appended to the pass's list, or dense.
+enum Step<'a> {
+    Dual {
+        engine: &'a mut SpeculationEngine,
+        maps: &'a mut Vec<SwitchingMap>,
+    },
+    Dense,
+}
+
+impl Step<'_> {
+    /// `out = proj(x)`: [`DualProjection::forward_into`] under `policy`,
+    /// or [`DualProjection::forward_reference_into`].
+    fn project(
+        &mut self,
+        proj: &DualProjection,
+        policy: &SwitchingPolicy,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        match self {
+            Step::Dual { engine, maps } => maps.push(proj.forward_into(engine, policy, x, out)),
+            Step::Dense => proj.forward_reference_into(x, out),
+        }
     }
 }
 
@@ -419,17 +349,54 @@ impl DualTransformerBlock {
     }
 
     /// Full dual pass over a `[T, m]` sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not `[T, m]`.
     pub fn forward(&self, xs: &Tensor, thresholds: &TransformerThresholds) -> DualBlockOutput {
-        assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
-        let (t_len, m) = (xs.shape().dim(0), self.model_dim());
-        assert_eq!(xs.shape().dim(1), m, "model dim mismatch");
+        let t_len = self.seq_len(xs);
         let mut engine = SpeculationEngine::new();
-
         // Four attention maps and two FFN maps per position.
         let mut maps = Vec::with_capacity(6 * t_len);
-        let attn_out =
-            self.attn
-                .forward_maps_into(&mut engine, xs, thresholds.theta_attn, &mut maps);
+        let mut step = Step::Dual {
+            engine: &mut engine,
+            maps: &mut maps,
+        };
+        let output = self.compose(&mut step, xs, thresholds);
+        let report = engine.finish(self.costs().times(t_len as u64).engine_costs());
+        DualBlockOutput {
+            output,
+            maps,
+            report,
+        }
+    }
+
+    /// The dense block: [`DualTransformerBlock::forward`]'s composition
+    /// with every projection run by
+    /// [`DualProjection::forward_reference_into`], which accumulates in the
+    /// engine's order — bitwise-equal to the dual pass at
+    /// [`TransformerThresholds::never_switch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not `[T, m]`.
+    pub fn forward_dense(&self, xs: &Tensor) -> Tensor {
+        self.compose(&mut Step::Dense, xs, &TransformerThresholds::never_switch())
+    }
+
+    /// `T` of a `[T, m]` input.
+    fn seq_len(&self, xs: &Tensor) -> usize {
+        assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
+        assert_eq!(xs.shape().dim(1), self.model_dim(), "model dim mismatch");
+        xs.shape().dim(0)
+    }
+
+    /// The block composition both passes share: attention, residual
+    /// `a = x + attn(x)`, then the FFN per position and residual
+    /// `y = a + ffn(a)`.
+    fn compose(&self, step: &mut Step, xs: &Tensor, th: &TransformerThresholds) -> Tensor {
+        let (t_len, m) = (self.seq_len(xs), self.model_dim());
+        let attn_out = self.attn.compose(step, xs, th.theta_attn);
 
         // residual 1: a = x + attn(x)
         let mut a = xs.clone();
@@ -442,47 +409,8 @@ impl DualTransformerBlock {
         let mut y_t = vec![0.0f32; m];
         for t in 0..t_len {
             let rows = t * m..(t + 1) * m;
-            let [m1, m2] = self.ffn.forward_into(
-                &mut engine,
-                &a.data()[rows.clone()],
-                &mut y_t,
-                thresholds.theta_gelu,
-                thresholds.theta_ffn_out,
-            );
-            for (ov, &yv) in out.data_mut()[rows].iter_mut().zip(&y_t) {
-                *ov += yv;
-            }
-            maps.push(m1);
-            maps.push(m2);
-        }
-
-        let report = engine.finish(self.costs().times(t_len as u64).engine_costs());
-        DualBlockOutput {
-            output: out,
-            maps,
-            report,
-        }
-    }
-
-    /// Dense reference for the whole block, in the sparse path's
-    /// arithmetic order — bitwise-equal to
-    /// [`DualTransformerBlock::forward`] at
-    /// [`TransformerThresholds::never_switch`].
-    pub fn forward_dense(&self, xs: &Tensor) -> Tensor {
-        assert_eq!(xs.shape().rank(), 2, "input must be [T, m]");
-        let (t_len, m) = (xs.shape().dim(0), self.model_dim());
-        assert_eq!(xs.shape().dim(1), m, "model dim mismatch");
-        let attn_out = self.attn.forward_reference(xs);
-        let mut a = xs.clone();
-        for (av, &bv) in a.data_mut().iter_mut().zip(attn_out.data()) {
-            *av += bv;
-        }
-        let mut out = a.clone();
-        let mut y_t = vec![0.0f32; m];
-        for t in 0..t_len {
-            let rows = t * m..(t + 1) * m;
             self.ffn
-                .forward_reference_into(&a.data()[rows.clone()], &mut y_t);
+                .compose(step, &a.data()[rows.clone()], &mut y_t, th);
             for (ov, &yv) in out.data_mut()[rows].iter_mut().zip(&y_t) {
                 *ov += yv;
             }

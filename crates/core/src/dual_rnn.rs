@@ -8,6 +8,14 @@
 //!
 //! The crucial memory effect (§IV-B): a weight **row** is fetched from
 //! DRAM only when its output neuron is sensitive.
+//!
+//! After the mix, a dual cell runs its teacher's own gate arithmetic,
+//! [`LstmCell::combine`] or [`GruCell::combine`], the functions
+//! [`LstmCell::step`] and [`GruCell::step`] run on their exact
+//! pre-activations; the dense twin of a dual cell is its teacher's
+//! `step`. Never switching, the mixed pre-activations are the exact ones
+//! accumulated in the engine's element order (bias first), which agrees
+//! with the teacher's blocked `ops::gemv` to rounding.
 
 use crate::approx::ApproxLinear;
 use crate::dual_proj::DualProjection;
@@ -136,29 +144,9 @@ impl DualLstmCell {
         a
     }
 
-    /// Dense (single-module) reference step.
-    pub fn step_dense(&self, x: &Tensor, state: &LstmState) -> LstmState {
-        let mut a = ops::gemv(self.proj_ih.weight(), x);
-        let ah = ops::gemv(self.proj_hh.weight(), &state.h);
-        ops::axpy(1.0, &ah, &mut a);
-        ops::axpy(1.0, self.proj_ih.bias(), &mut a);
-        self.combine(&a, state)
-    }
-
-    fn combine(&self, a: &Tensor, state: &LstmState) -> LstmState {
-        let h = self.hidden;
-        let seg = |k: usize| Tensor::from_vec(a.data()[k * h..(k + 1) * h].to_vec(), &[h]);
-        let i = seg(0).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let f = seg(1).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let g = seg(2).map(|v| v.tanh());
-        let o = seg(3).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let c = ops::add(&ops::hadamard(&f, &state.c), &ops::hadamard(&i, &g));
-        let h_new = ops::hadamard(&o, &c.map(|v| v.tanh()));
-        LstmState { h: h_new, c }
-    }
-
     /// One dual-module step: speculate per gate, recompute sensitive rows
-    /// exactly, mix, and run the cell combine on mixed pre-activations.
+    /// exactly, mix, and run [`LstmCell::combine`] on the mixed
+    /// pre-activations.
     ///
     /// # Panics
     ///
@@ -205,7 +193,7 @@ impl DualLstmCell {
             gate_maps.push(map);
         }
 
-        let next = self.combine(&a, state);
+        let (next, _) = LstmCell::combine(&a, state);
 
         let report = engine.finish((self.proj_ih.costs() + self.proj_hh.costs()).engine_costs());
 
@@ -284,38 +272,10 @@ impl DualGruCell {
         self.proj_hh.set_approx(approx_hh);
     }
 
-    /// Dense reference step.
-    pub fn step_dense(&self, x: &Tensor, h_prev: &Tensor) -> Tensor {
-        let ax = {
-            let mut t = ops::gemv(self.proj_ih.weight(), x);
-            ops::axpy(1.0, self.proj_ih.bias(), &mut t);
-            t
-        };
-        let ah = {
-            let mut t = ops::gemv(self.proj_hh.weight(), h_prev);
-            ops::axpy(1.0, self.proj_hh.bias(), &mut t);
-            t
-        };
-        self.combine(&ax, &ah, h_prev)
-    }
-
-    fn combine(&self, ax: &Tensor, ah: &Tensor, h_prev: &Tensor) -> Tensor {
-        let h = self.hidden;
-        let seg =
-            |t: &Tensor, k: usize| Tensor::from_vec(t.data()[k * h..(k + 1) * h].to_vec(), &[h]);
-        let r = ops::add(&seg(ax, 0), &seg(ah, 0)).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let z = ops::add(&seg(ax, 1), &seg(ah, 1)).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let n = ops::add(&seg(ax, 2), &ops::hadamard(&r, &seg(ah, 2))).map(|v| v.tanh());
-        let ones = Tensor::full(&[h], 1.0);
-        ops::add(
-            &ops::hadamard(&ops::sub(&ones, &z), &n),
-            &ops::hadamard(&z, h_prev),
-        )
-    }
-
     /// One dual-module GRU step. Gates r and z use the sigmoid rule; the
     /// candidate n uses the tanh rule on its (r-gated) approximate
-    /// pre-activation.
+    /// pre-activation. [`GruCell::combine`] then runs on the mixed
+    /// pre-activations of both streams.
     ///
     /// # Panics
     ///
@@ -373,7 +333,7 @@ impl DualGruCell {
         });
         gate_maps.push(n_map);
 
-        let h_new = self.combine(&ax, &ah, h_prev);
+        let (h_new, ..) = GruCell::combine(&ax, &ah, h_prev);
 
         let report = engine.finish((self.proj_ih.costs() + self.proj_hh.costs()).engine_costs());
 
@@ -399,25 +359,11 @@ mod tests {
         let x = rng::normal(&mut r, &[16], 0.0, 1.0);
         let state = LstmState::zeros(12);
         let out = dual.step(&x, &state, &RnnThresholds::never_switch());
-        let dense = dual.step_dense(&x, &state);
+        let (dense, _) = cell.step(&x, &state);
         for (a, b) in out.h.data().iter().zip(dense.h.data()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
         assert_eq!(out.report.outputs_exact, 48);
-    }
-
-    #[test]
-    fn lstm_dense_step_matches_nn_cell() {
-        let mut r = seeded(2);
-        let cell = LstmCell::new(8, 6, &mut r);
-        let dual = DualLstmCell::learn(&cell, 6, 200, &mut r);
-        let x = rng::normal(&mut r, &[8], 0.0, 1.0);
-        let state = LstmState::zeros(6);
-        let a = dual.step_dense(&x, &state);
-        let (b, _) = cell.step(&x, &state);
-        for (p, q) in a.h.data().iter().zip(b.h.data()) {
-            assert!((p - q).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -439,7 +385,7 @@ mod tests {
         for _ in 0..5 {
             let x = rng::normal(&mut r, &[32], 0.0, 1.5);
             let out = dual.step(&x, &state, &thresholds);
-            dense_state = dual.step_dense(&x, &dense_state);
+            dense_state = cell.step(&x, &dense_state).0;
             state = LstmState {
                 h: out.h.clone(),
                 c: out.c.clone(),
@@ -462,23 +408,9 @@ mod tests {
         let x = rng::normal(&mut r, &[10], 0.0, 1.0);
         let h_prev = rng::normal(&mut r, &[8], 0.0, 0.5);
         let out = dual.step(&x, &h_prev, &RnnThresholds::never_switch());
-        let dense = dual.step_dense(&x, &h_prev);
+        let (dense, _) = cell.step(&x, &h_prev);
         for (a, b) in out.h.data().iter().zip(dense.data()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn gru_dense_step_matches_nn_cell() {
-        let mut r = seeded(5);
-        let cell = GruCell::new(7, 5, &mut r);
-        let dual = DualGruCell::learn(&cell, 5, 200, &mut r);
-        let x = rng::normal(&mut r, &[7], 0.0, 1.0);
-        let h_prev = rng::normal(&mut r, &[5], 0.0, 0.5);
-        let a = dual.step_dense(&x, &h_prev);
-        let (b, _) = cell.step(&x, &h_prev);
-        for (p, q) in a.data().iter().zip(b.data()) {
-            assert!((p - q).abs() < 1e-5);
         }
     }
 

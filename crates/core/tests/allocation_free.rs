@@ -145,6 +145,9 @@ fn warm_transformer_block_allocates_little_more_than_dense() {
         block.forward_dense(&xs);
     });
     assert_eq!(out.maps.len(), 6 * t_len);
+    // The dense pass's own count, exactly: it runs no engine, opens no
+    // span and collects no map list.
+    assert_eq!(dense, 162, "the dense reference allocated {dense} times");
     assert!(
         dual <= dense + 3,
         "dual block allocated {dual} times, its dense reference {dense}"

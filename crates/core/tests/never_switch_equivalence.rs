@@ -7,10 +7,15 @@
 //! variant does — an order this test reimplements literally and checks
 //! **bitwise**, so any engine refactor that perturbs the accumulation
 //! order (and would silently drift the committed `results/*.txt`
-//! exhibits) fails loudly. The library's `forward_dense`/`step_dense`
-//! references use the blocked kernels in `duet-tensor::ops`, which add
-//! the bias last; those agree only to rounding, so they are checked to a
-//! tight tolerance.
+//! exhibits) fails loudly. The dense twins — the FC and conv layers'
+//! `forward_dense` and, for the recurrent cells, their teachers'
+//! `LstmCell::step` and `GruCell::step` (whose gate arithmetic the dual
+//! cells share) — use the blocked kernels in `duet-tensor::ops`, which
+//! add the bias last; those agree only to rounding, so they are checked
+//! to a tight tolerance.
+//!
+//! `scripts/verify.sh` runs this suite under `DUET_NUM_THREADS` ∈
+//! {1, 4, 7}.
 
 use duet_core::dual_rnn::RnnThresholds;
 use duet_core::{
@@ -235,7 +240,7 @@ fn lstm_never_switch_matches_dense_across_shapes() {
             assert_eq!(out.h.data()[i], want, "seed {seed} lane {i} not bitwise");
         }
 
-        let dense = dual.step_dense(&x, &state);
+        let (dense, _) = cell.step(&x, &state);
         assert_close(out.h.data(), dense.h.data(), &format!("lstm h seed {seed}"));
         assert_close(out.c.data(), dense.c.data(), &format!("lstm c seed {seed}"));
     }
@@ -278,7 +283,7 @@ fn gru_never_switch_matches_dense_across_shapes() {
             assert_eq!(out.h.data()[i], want, "seed {seed} lane {i} not bitwise");
         }
 
-        let dense = dual.step_dense(&x, &h_prev);
+        let (dense, _) = cell.step(&x, &h_prev);
         assert_close(out.h.data(), dense.data(), &format!("gru seed {seed}"));
     }
 }

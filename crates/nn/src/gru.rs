@@ -81,26 +81,12 @@ impl GruCell {
     pub fn step(&self, x: &Tensor, h_prev: &Tensor) -> (Tensor, GruStepCache) {
         assert_eq!(x.len(), self.input, "input length mismatch");
         assert_eq!(h_prev.len(), self.hidden, "state length mismatch");
-        let h = self.hidden;
 
         let mut ax = ops::gemv(&self.w_ih.value, x);
         ops::axpy(1.0, &self.b_ih.value, &mut ax);
         let mut ah = ops::gemv(&self.w_hh.value, h_prev);
         ops::axpy(1.0, &self.b_hh.value, &mut ah);
-
-        let seg =
-            |t: &Tensor, k: usize| Tensor::from_vec(t.data()[k * h..(k + 1) * h].to_vec(), &[h]);
-        let r = ops::add(&seg(&ax, 0), &seg(&ah, 0)).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let z = ops::add(&seg(&ax, 1), &seg(&ah, 1)).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let hn = seg(&ah, 2);
-        let n = ops::add(&seg(&ax, 2), &ops::hadamard(&r, &hn)).map(|v| v.tanh());
-
-        // h = (1 − z) ⊙ n + z ⊙ h_prev
-        let ones = Tensor::full(&[h], 1.0);
-        let h_new = ops::add(
-            &ops::hadamard(&ops::sub(&ones, &z), &n),
-            &ops::hadamard(&z, h_prev),
-        );
+        let (h_new, [r, z, n], hn) = Self::combine(&ax, &ah, h_prev);
 
         let cache = GruStepCache {
             x: x.clone(),
@@ -111,6 +97,45 @@ impl GruCell {
             hn,
         };
         (h_new, cache)
+    }
+
+    /// The cell's gate arithmetic on the input-side pre-activations
+    /// `ax = W x + b` and the hidden-side `ah = U h_prev + b_h` (each
+    /// `[3h]` in r, z, n order, however they were computed):
+    /// `r = σ(ax_r + ah_r)`, `z = σ(ax_z + ah_z)`,
+    /// `n = tanh(ax_n + r ⊙ ah_n)` and `h = (1 − z) ⊙ n + z ⊙ h_prev`.
+    /// Returns `h`, the activated gates `[r, z, n]` and `ah_n`.
+    /// [`GruCell::step`] runs it on its exact pre-activations, a
+    /// dual-module cell on its mixed ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ax` or `ah` is not three times `h_prev`'s length.
+    pub fn combine(
+        ax: &Tensor,
+        ah: &Tensor,
+        h_prev: &Tensor,
+    ) -> (Tensor, [Tensor; GRU_GATES], Tensor) {
+        let h = h_prev.len();
+        let gates = GRU_GATES * h;
+        assert!(
+            ax.len() == gates && ah.len() == gates,
+            "pre-activation length mismatch"
+        );
+        let seg =
+            |t: &Tensor, k: usize| Tensor::from_vec(t.data()[k * h..(k + 1) * h].to_vec(), &[h]);
+        let r = ops::add(&seg(ax, 0), &seg(ah, 0)).map(|v| Activation::Sigmoid.apply_scalar(v));
+        let z = ops::add(&seg(ax, 1), &seg(ah, 1)).map(|v| Activation::Sigmoid.apply_scalar(v));
+        let hn = seg(ah, 2);
+        let n = ops::add(&seg(ax, 2), &ops::hadamard(&r, &hn)).map(|v| v.tanh());
+
+        // h = (1 − z) ⊙ n + z ⊙ h_prev
+        let ones = Tensor::full(&[h], 1.0);
+        let h_new = ops::add(
+            &ops::hadamard(&ops::sub(&ones, &z), &n),
+            &ops::hadamard(&z, h_prev),
+        );
+        (h_new, [r, z, n], hn)
     }
 
     /// One BPTT step; returns `(dx, dh_prev)` and accumulates parameter

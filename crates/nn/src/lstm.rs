@@ -108,16 +108,7 @@ impl LstmCell {
         assert_eq!(x.len(), self.input, "input length mismatch");
         assert_eq!(state.h.len(), self.hidden, "state length mismatch");
         let a = self.gate_preactivations(x, &state.h);
-        let h = self.hidden;
-        let slice = |k: usize| Tensor::from_vec(a.data()[k * h..(k + 1) * h].to_vec(), &[h]);
-        let i = slice(0).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let f = slice(1).map(|v| Activation::Sigmoid.apply_scalar(v));
-        let g = slice(2).map(|v| v.tanh());
-        let o = slice(3).map(|v| Activation::Sigmoid.apply_scalar(v));
-
-        let c = ops::add(&ops::hadamard(&f, &state.c), &ops::hadamard(&i, &g));
-        let h_new = ops::hadamard(&o, &c.map(|v| v.tanh()));
-
+        let (next, [i, f, g, o]) = Self::combine(&a, state);
         let cache = LstmStepCache {
             x: x.clone(),
             h_prev: state.h.clone(),
@@ -126,9 +117,32 @@ impl LstmCell {
             f,
             g,
             o,
-            c: c.clone(),
+            c: next.c.clone(),
         };
-        (LstmState { h: h_new, c }, cache)
+        (next, cache)
+    }
+
+    /// The cell's gate arithmetic on pre-activations `a = [i; f; g; o]`
+    /// (`[4h]`, however they were computed): `c = σ(f) ⊙ c_prev + σ(i) ⊙
+    /// tanh(g)` and `h = σ(o) ⊙ tanh(c)`. Returns the new state and the
+    /// activated gates `[i, f, g, o]`. [`LstmCell::step`] runs it on its
+    /// exact pre-activations, a dual-module cell on its mixed ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not four times the state's length.
+    pub fn combine(a: &Tensor, state: &LstmState) -> (LstmState, [Tensor; LSTM_GATES]) {
+        let h = state.h.len();
+        assert_eq!(a.len(), LSTM_GATES * h, "pre-activation length mismatch");
+        let slice = |k: usize| Tensor::from_vec(a.data()[k * h..(k + 1) * h].to_vec(), &[h]);
+        let i = slice(0).map(|v| Activation::Sigmoid.apply_scalar(v));
+        let f = slice(1).map(|v| Activation::Sigmoid.apply_scalar(v));
+        let g = slice(2).map(|v| v.tanh());
+        let o = slice(3).map(|v| Activation::Sigmoid.apply_scalar(v));
+
+        let c = ops::add(&ops::hadamard(&f, &state.c), &ops::hadamard(&i, &g));
+        let h_new = ops::hadamard(&o, &c.map(|v| v.tanh()));
+        (LstmState { h: h_new, c }, [i, f, g, o])
     }
 
     /// One BPTT step. `dh`/`dc` are gradients flowing into this step's

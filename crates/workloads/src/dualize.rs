@@ -1,10 +1,15 @@
 //! Converting trained networks into dual-module form and measuring the
 //! true quality-vs-savings trade-off (the data behind Fig. 10).
+//!
+//! A [`DualCharLm`] runs its dual cell inside its [`CharLm`]'s own
+//! sequence loop and output head — the ones [`CharLm::nll`] runs the
+//! teacher cell in — so the dense and the dual LM differ only in the
+//! recurrent step.
 
 use crate::datasets::Classification;
 use crate::trainer::CharLm;
-use duet_core::dual_rnn::{DualGruCell, DualLstmCell, RnnThresholds};
-use duet_core::{DualConvLayer, DualModuleLayer, SavingsReport, SwitchingPolicy};
+use duet_core::dual_rnn::{DualGruCell, DualLstmCell, DualRnnStepOutput, RnnThresholds};
+use duet_core::{DualConvLayer, DualModuleLayer, SavingsReport, SwitchingMap, SwitchingPolicy};
 use duet_nn::lstm::LstmState;
 use duet_nn::{loss, Activation, Conv2d, Sequential};
 use duet_tensor::im2col::im2col;
@@ -308,43 +313,18 @@ impl DualCharLm {
     ///
     /// Panics if `tokens.len() < 2`.
     pub fn nll(&self, tokens: &[usize], thresholds: &RnnThresholds) -> (f32, SavingsReport) {
-        assert!(tokens.len() >= 2, "need at least two tokens");
-        let steps = tokens.len() - 1;
-        let steps_u64 = steps as u64;
-        let hidden = self.lm.hidden();
-        let vocab = self.lm.vocab();
-        let mut state = LstmState::zeros(hidden);
-        let mut gru_h = Tensor::zeros(&[hidden]);
-        let mut total = 0.0f32;
+        let mut state = LstmState::zeros(self.lm.hidden());
         let mut report = SavingsReport::new();
-        for t in 0..steps {
-            let x = self.embed_token(tokens[t]);
-            let h = match &self.cell {
-                DualLmCell::Lstm(c) => {
-                    let out = c.step(&x, &state, thresholds);
-                    report += out.report;
-                    state = LstmState {
-                        h: out.h.clone(),
-                        c: out.c,
-                    };
-                    out.h
-                }
-                DualLmCell::Gru(c) => {
-                    let out = c.step(&x, &gru_h, thresholds);
-                    report += out.report;
-                    gru_h = out.h.clone();
-                    out.h
-                }
-            };
-            let logits = ops::affine(&self.lm.w_out.value, &h, &self.lm.b_out.value);
-            let (l, _) = loss::cross_entropy(&logits.reshaped(&[1, vocab]), &[tokens[t + 1]]);
-            total += l;
-        }
+        let nll = self.lm.nll_with(tokens, |x| {
+            let (h, _, rep) = self.step(x, &mut state, thresholds);
+            report += rep;
+            h
+        });
         // The Speculator's QDR weights stay resident in its weight buffer
         // across time steps (§III-B pre-step); the per-step reports each
         // counted a fresh load, so amortize them back to a single fetch.
-        report.speculator_weight_bytes /= steps_u64;
-        (total / steps as f32, report)
+        report.speculator_weight_bytes /= (tokens.len() - 1) as u64;
+        (nll, report)
     }
 
     /// Perplexity and savings at the given thresholds.
@@ -358,41 +338,39 @@ impl DualCharLm {
         &self,
         tokens: &[usize],
         thresholds: &RnnThresholds,
-    ) -> Vec<Vec<duet_core::SwitchingMap>> {
-        let hidden = self.lm.hidden();
-        let mut state = LstmState::zeros(hidden);
-        let mut gru_h = Tensor::zeros(&[hidden]);
+    ) -> Vec<Vec<SwitchingMap>> {
+        let mut state = LstmState::zeros(self.lm.hidden());
         let mut all = Vec::new();
-        for &tok in &tokens[..tokens.len().saturating_sub(1)] {
-            let x = self.embed_token(tok);
-            match &self.cell {
-                DualLmCell::Lstm(c) => {
-                    let out = c.step(&x, &state, thresholds);
-                    state = LstmState {
-                        h: out.h.clone(),
-                        c: out.c,
-                    };
-                    all.push(out.gate_maps);
-                }
-                DualLmCell::Gru(c) => {
-                    let out = c.step(&x, &gru_h, thresholds);
-                    gru_h = out.h.clone();
-                    all.push(out.gate_maps);
-                }
-            }
-        }
+        self.lm
+            .hidden_states(tokens, |x| {
+                let (h, maps, _) = self.step(x, &mut state, thresholds);
+                all.push(maps);
+                h
+            })
+            .for_each(drop);
         all
     }
 
-    fn embed_token(&self, token: usize) -> Tensor {
-        let vocab = self.lm.vocab();
-        let emb = self.lm.embed.value.shape().dim(0);
-        Tensor::from_vec(
-            (0..emb)
-                .map(|i| self.lm.embed.value.data()[i * vocab + token])
-                .collect(),
-            &[emb],
-        )
+    /// One dual step from `state`, which it advances (a GRU reads only
+    /// `state.h`): the new hidden state, the gate maps and the step's
+    /// savings.
+    fn step(
+        &self,
+        x: &Tensor,
+        state: &mut LstmState,
+        thresholds: &RnnThresholds,
+    ) -> (Tensor, Vec<SwitchingMap>, SavingsReport) {
+        let DualRnnStepOutput {
+            h,
+            c,
+            gate_maps,
+            report,
+        } = match &self.cell {
+            DualLmCell::Lstm(cell) => cell.step(x, state, thresholds),
+            DualLmCell::Gru(cell) => cell.step(x, &state.h, thresholds),
+        };
+        *state = LstmState { h: h.clone(), c };
+        (h, gate_maps, report)
     }
 }
 
@@ -500,6 +478,59 @@ mod tests {
         let (ppl, rep) = dual.perplexity(&test, &th);
         assert!(rep.approximate_fraction() > 0.02, "no switching happened");
         assert!(ppl < dense_ppl * 1.5, "ppl {ppl} vs dense {dense_ppl}");
+    }
+
+    #[test]
+    fn char_lm_nll_keeps_its_bits() {
+        // Golden pins of the recurrent LMs' full-precision NLL and
+        // accounting: the dense LM and its dual form at never-switch and
+        // at one switching θ, for both cells. The maps recorded at that θ
+        // are the ones its NLL pass counted.
+        let source = datasets::MarkovText::new(8, 2, &mut seeded(60));
+        for (lstm, theta_sigmoid, theta_tanh, want) in [
+            (
+                true,
+                0.8,
+                0.6,
+                [
+                    (1, 0x756e_50d4_e0f8_7039),
+                    (1, 0xedd0_d741_f56b_ddf6),
+                    (1, 0xdd01_64a3_8fbf_87cb),
+                ],
+            ),
+            (
+                false,
+                0.3,
+                0.2,
+                [
+                    (1, 0xf6fa_ecd1_8dad_7340),
+                    (1, 0x3561_b0ab_1ddc_33fd),
+                    (1, 0xef03_03e6_960d_ea92),
+                ],
+            ),
+        ] {
+            let lm = trainer::train_char_lm(&source, lstm, 6, 12, 40, 16, &mut seeded(61));
+            let dual = DualCharLm::from_char_lm(&lm, 8, 150, &mut seeded(62));
+            let tokens = source.sample(48, &mut seeded(63));
+            let th = RnnThresholds {
+                theta_sigmoid,
+                theta_tanh,
+            };
+            let fold =
+                |nll: f32, rep: &SavingsReport| crate::output_fingerprint([nll.to_bits()], rep);
+            let (never, never_rep) = dual.nll(&tokens, &RnnThresholds::never_switch());
+            let (nll, rep) = dual.nll(&tokens, &th);
+            assert!(rep.approximate_fraction() > 0.1, "lstm = {lstm}");
+            let got = [
+                fold(lm.nll(&tokens), &SavingsReport::new()),
+                fold(never, &never_rep),
+                fold(nll, &rep),
+            ];
+            assert_eq!(got, want, "lstm = {lstm}");
+            let maps = dual.record_gate_maps(&tokens, &th);
+            let sensitive: usize = maps.iter().flatten().map(|m| m.sensitive_count()).sum();
+            assert_eq!(sensitive as u64, rep.outputs_exact, "lstm = {lstm}");
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! the faithful small-scale stand-in (DESIGN.md §2): the same
 //! architecture class, a measurable quality metric (token accuracy), and
 //! dual-module processing applied to both recurrent cells.
+//!
+//! [`DualSeq2Seq`] decodes through [`Seq2Seq`]'s own greedy loop and
+//! scoring loop with its dual cells as the recurrent steps, so the
+//! embeddings, attention, output head and scoring are the dense model's.
 
 use duet_core::dual_rnn::{DualLstmCell, RnnThresholds};
 use duet_core::SavingsReport;
@@ -40,6 +44,29 @@ impl ReversalTask {
         let mut tgt = src.clone();
         tgt.reverse();
         (src, tgt)
+    }
+
+    /// Token accuracy of `translate` (source, target length) → prediction
+    /// over `samples` sampled instances: the scoring loop of both models.
+    fn score(
+        &self,
+        samples: usize,
+        r: &mut Rng,
+        mut translate: impl FnMut(&[usize], usize) -> Vec<usize>,
+    ) -> f64 {
+        let mut correct = 0usize;
+        let mut total = 0usize;
+        for _ in 0..samples {
+            let (src, tgt) = self.sample(r);
+            let pred = translate(&src, tgt.len());
+            for (p, t) in pred.iter().zip(&tgt) {
+                if p == t {
+                    correct += 1;
+                }
+                total += 1;
+            }
+        }
+        correct as f64 / total as f64
     }
 }
 
@@ -205,48 +232,55 @@ impl Seq2Seq {
 
     /// Greedy decoding: returns the predicted target sequence.
     pub fn translate(&self, src: &[usize], max_len: usize) -> Vec<usize> {
-        let xs_src: Vec<Tensor> = src
-            .iter()
-            .map(|&t| self.embed(&self.embed_src, t))
-            .collect();
-        let (enc_states, _) = self.encoder.forward_sequence(&xs_src);
+        let enc_hs = self.encode(src, |x, s| self.encoder.step(x, s).0);
+        self.greedy(&enc_hs, max_len, |x, s| self.decoder.step(x, s).0)
+    }
+
+    /// Token accuracy of greedy decoding over sampled task instances.
+    pub fn token_accuracy(&self, task: &ReversalTask, samples: usize, r: &mut Rng) -> f64 {
+        task.score(samples, r, |src, len| self.translate(src, len))
+    }
+
+    /// The encoder half of greedy decoding, shared with [`DualSeq2Seq`]:
+    /// each source token is embedded and run through `step`, which
+    /// advances the encoder state from zero; returns the hidden states as
+    /// `[src, h]` rows.
+    fn encode(
+        &self,
+        src: &[usize],
+        mut step: impl FnMut(&Tensor, &LstmState) -> LstmState,
+    ) -> Tensor {
         let h = self.hidden;
         let mut enc_hs = Tensor::zeros(&[src.len(), h]);
-        for (t, s) in enc_states.iter().enumerate() {
-            enc_hs.row_mut(t).copy_from_slice(s.h.data());
-        }
-
-        let mut out = Vec::with_capacity(max_len);
         let mut state = LstmState::zeros(h);
+        for (t, &tok) in src.iter().enumerate() {
+            state = step(&self.embed(&self.embed_src, tok), &state);
+            enc_hs.row_mut(t).copy_from_slice(state.h.data());
+        }
+        enc_hs
+    }
+
+    /// The decoder half: from BOS, each step runs the previous token's
+    /// embedding through `step`, attends over `enc_hs` and emits the
+    /// head's argmax.
+    fn greedy(
+        &self,
+        enc_hs: &Tensor,
+        max_len: usize,
+        mut step: impl FnMut(&Tensor, &LstmState) -> LstmState,
+    ) -> Vec<usize> {
+        let mut out = Vec::with_capacity(max_len);
+        let mut state = LstmState::zeros(self.hidden);
         let mut prev = BOS;
         for _ in 0..max_len {
-            let x = self.embed(&self.embed_tgt, prev);
-            let (next, _) = self.decoder.step(&x, &state);
-            state = next;
-            let (ctx, _) = attend(&state.h, &enc_hs, &enc_hs);
+            state = step(&self.embed(&self.embed_tgt, prev), &state);
+            let (ctx, _) = attend(&state.h, enc_hs, enc_hs);
             let (logits, _, _) = self.output_head(&state.h, &ctx);
             let tok = ops::argmax(&logits);
             out.push(tok);
             prev = tok;
         }
         out
-    }
-
-    /// Token accuracy of greedy decoding over sampled task instances.
-    pub fn token_accuracy(&self, task: &ReversalTask, samples: usize, r: &mut Rng) -> f64 {
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for _ in 0..samples {
-            let (src, tgt) = task.sample(r);
-            let pred = self.translate(&src, tgt.len());
-            for (p, t) in pred.iter().zip(&tgt) {
-                if p == t {
-                    correct += 1;
-                }
-                total += 1;
-            }
-        }
-        correct as f64 / total as f64
     }
 
     /// Visits every trainable parameter.
@@ -314,43 +348,21 @@ impl DualSeq2Seq {
         max_len: usize,
         thresholds: &RnnThresholds,
     ) -> (Vec<usize>, SavingsReport) {
-        let m = &self.model;
-        let h = m.hidden;
         let mut report = SavingsReport::new();
-
-        let mut enc_hs = Tensor::zeros(&[src.len(), h]);
-        let mut state = LstmState::zeros(h);
-        for (t, &tok) in src.iter().enumerate() {
-            let x = m.embed(&m.embed_src, tok);
-            let out = self.dual_encoder.step(&x, &state, thresholds);
+        let mut step = |cell: &DualLstmCell, x: &Tensor, state: &LstmState| {
+            let out = cell.step(x, state, thresholds);
             report += out.report;
-            state = LstmState {
-                h: out.h.clone(),
-                c: out.c,
-            };
-            enc_hs.row_mut(t).copy_from_slice(out.h.data());
-        }
-
-        let mut out_tokens = Vec::with_capacity(max_len);
-        let mut dstate = LstmState::zeros(h);
-        let mut prev = BOS;
-        for _ in 0..max_len {
-            let x = m.embed(&m.embed_tgt, prev);
-            let sout = self.dual_decoder.step(&x, &dstate, thresholds);
-            report += sout.report;
-            dstate = LstmState {
-                h: sout.h.clone(),
-                c: sout.c,
-            };
-            let (ctx, _) = attend(&dstate.h, &enc_hs, &enc_hs);
-            let (logits, _, _) = m.output_head(&dstate.h, &ctx);
-            let tok = ops::argmax(&logits);
-            out_tokens.push(tok);
-            prev = tok;
-        }
+            LstmState { h: out.h, c: out.c }
+        };
+        let enc_hs = self
+            .model
+            .encode(src, |x, s| step(&self.dual_encoder, x, s));
+        let tokens = self
+            .model
+            .greedy(&enc_hs, max_len, |x, s| step(&self.dual_decoder, x, s));
         // QDR weights are buffer-resident across steps: amortize
         report.speculator_weight_bytes /= (src.len() + max_len).max(1) as u64;
-        (out_tokens, report)
+        (tokens, report)
     }
 
     /// Token accuracy and savings over sampled task instances.
@@ -361,21 +373,13 @@ impl DualSeq2Seq {
         thresholds: &RnnThresholds,
         r: &mut Rng,
     ) -> (f64, SavingsReport) {
-        let mut correct = 0usize;
-        let mut total = 0usize;
         let mut report = SavingsReport::new();
-        for _ in 0..samples {
-            let (src, tgt) = task.sample(r);
-            let (pred, rep) = self.translate(&src, tgt.len(), thresholds);
+        let accuracy = task.score(samples, r, |src, len| {
+            let (pred, rep) = self.translate(src, len, thresholds);
             report += rep;
-            for (p, t) in pred.iter().zip(&tgt) {
-                if p == t {
-                    correct += 1;
-                }
-                total += 1;
-            }
-        }
-        (correct as f64 / total as f64, report)
+            pred
+        });
+        (accuracy, report)
     }
 }
 
@@ -501,6 +505,51 @@ mod tests {
         assert_eq!(
             crate::param_fingerprint(|f| model.visit_params(f)),
             (2490, 0xb017_9abc_e411_d63f)
+        );
+    }
+
+    #[test]
+    fn translate_keeps_its_bits() {
+        // Golden pins of greedy decoding: the tokens the dense model and
+        // its dual form emit over seeded sources, with the dual passes'
+        // accounting, at never-switch and at one switching θ.
+        let task = ReversalTask { vocab: 8, len: 4 };
+        let model = train_seq2seq(&task, 10, 16, 120, &mut seeded(70));
+        let dual = DualSeq2Seq::from_model(&model, 12, 150, &mut seeded(71));
+        let th = RnnThresholds {
+            theta_sigmoid: 1.0,
+            theta_tanh: 0.7,
+        };
+        let mut r = seeded(72);
+        let srcs: Vec<Vec<usize>> = (0..8).map(|_| task.sample(&mut r).0).collect();
+        let fold = |out: Vec<Vec<usize>>, rep: &SavingsReport| {
+            crate::output_fingerprint(out.into_iter().flatten().map(|t| t as u32), rep)
+        };
+        let dense = srcs.iter().map(|s| model.translate(s, task.len)).collect();
+        let mut got = vec![fold(dense, &SavingsReport::new())];
+        for th in [RnnThresholds::never_switch(), th] {
+            let mut report = SavingsReport::new();
+            let out = srcs
+                .iter()
+                .map(|s| {
+                    let (pred, rep) = dual.translate(s, task.len, &th);
+                    report += rep;
+                    pred
+                })
+                .collect();
+            got.push(fold(out, &report));
+            assert_eq!(
+                report.approximate_fraction() > 0.1,
+                th.theta_sigmoid.is_finite()
+            );
+        }
+        assert_eq!(
+            got,
+            [
+                (32, 0xe1c4_fae7_5226_3365),
+                (32, 0xa17b_8ea8_08aa_a6ce),
+                (32, 0x2d4f_f902_c5b8_ebcc),
+            ]
         );
     }
 

@@ -257,30 +257,45 @@ impl CharLm {
     ///
     /// Panics if `tokens.len() < 2`.
     pub fn nll(&self, tokens: &[usize]) -> f32 {
+        let mut state = LstmState::zeros(self.hidden);
+        self.nll_with(tokens, |x| {
+            match &self.cell {
+                LmCell::Lstm(c) => state = c.step(x, &state).0,
+                LmCell::Gru(c) => state.h = c.step(x, &state.h).0,
+            }
+            state.h.clone()
+        })
+    }
+
+    /// The hidden states of one pass over `tokens`: every token but the
+    /// last is embedded and handed to `step`, which advances the caller's
+    /// recurrent state and returns `h_t`. The one sequence loop of
+    /// [`CharLm::nll`] and the dual LM's passes.
+    pub(crate) fn hidden_states<'a>(
+        &'a self,
+        tokens: &'a [usize],
+        mut step: impl FnMut(&Tensor) -> Tensor + 'a,
+    ) -> impl Iterator<Item = Tensor> + 'a {
+        let inputs = &tokens[..tokens.len().saturating_sub(1)];
+        inputs.iter().map(move |&t| step(&self.embed_token(t)))
+    }
+
+    /// Mean next-token NLL (nats/token) of the hidden states `step`
+    /// produces over `tokens` (see [`CharLm::hidden_states`]), through
+    /// this LM's output head.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens.len() < 2`.
+    pub(crate) fn nll_with(&self, tokens: &[usize], step: impl FnMut(&Tensor) -> Tensor) -> f32 {
         assert!(tokens.len() >= 2, "need at least two tokens");
-        let steps = tokens.len() - 1;
         let mut total = 0.0f32;
-        let mut lstm_state = LstmState::zeros(self.hidden);
-        let mut gru_h = Tensor::zeros(&[self.hidden]);
-        for t in 0..steps {
-            let x = self.embed_token(tokens[t]);
-            let h = match &self.cell {
-                LmCell::Lstm(c) => {
-                    let (s, _) = c.step(&x, &lstm_state);
-                    lstm_state = s;
-                    lstm_state.h.clone()
-                }
-                LmCell::Gru(c) => {
-                    let (h, _) = c.step(&x, &gru_h);
-                    gru_h = h.clone();
-                    h
-                }
-            };
+        for (h, &next) in self.hidden_states(tokens, step).zip(&tokens[1..]) {
             let logits = self.logits(&h);
-            let (l, _) = loss::cross_entropy(&logits.reshaped(&[1, self.vocab]), &[tokens[t + 1]]);
+            let (l, _) = loss::cross_entropy(&logits.reshaped(&[1, self.vocab]), &[next]);
             total += l;
         }
-        total / steps as f32
+        total / (tokens.len() - 1) as f32
     }
 
     /// Perplexity over a token sequence.

@@ -480,16 +480,6 @@ impl DualTransformerLm {
         &self.block
     }
 
-    fn window_inputs(&self, tokens_in: &[usize]) -> Tensor {
-        let m = self.lm.model_dim();
-        let mut xs = Tensor::zeros(&[tokens_in.len(), m]);
-        for (t, &tok) in tokens_in.iter().enumerate() {
-            xs.row_mut(t)
-                .copy_from_slice(self.lm.embed_token(tok, t).data());
-        }
-        xs
-    }
-
     /// Per-position logits over a sequence through the dual block,
     /// block-windowed like [`TransformerLm::nll`], with aggregate
     /// savings. Speculator weight fetches are amortized across the
@@ -499,36 +489,32 @@ impl DualTransformerLm {
         tokens: &[usize],
         thresholds: &TransformerThresholds,
     ) -> (Vec<Tensor>, SavingsReport) {
-        assert!(tokens.len() >= 2, "need at least two tokens");
-        let steps = tokens.len() - 1;
-        let (m, ctx) = (self.lm.model_dim(), self.lm.context());
-        let mut logits = Vec::with_capacity(steps);
         let mut report = SavingsReport::new();
-        let mut start = 0usize;
-        while start < steps {
-            let end = (start + ctx).min(steps);
-            let xs = self.window_inputs(&tokens[start..end]);
-            let out = self.block.forward(&xs, thresholds);
+        let logits = self.windowed_logits(tokens, |xs| {
+            let out = self.block.forward(xs, thresholds);
             let mut rep = out.report;
-            rep.speculator_weight_bytes /= (end - start) as u64;
+            rep.speculator_weight_bytes /= xs.shape().dim(0) as u64;
             report += rep;
-            for t in 0..(end - start) {
-                let y_t = row(&out.output, t, m);
-                logits.push(ops::affine(
-                    &self.lm.w_out.value,
-                    &y_t,
-                    &self.lm.b_out.value,
-                ));
-            }
-            start = end;
-        }
+            out.output
+        });
         (logits, report)
     }
 
-    /// The dense reference for [`DualTransformerLm::forward_logits`],
-    /// through the block's bitwise reference path — equal to the dual
-    /// path at `TransformerThresholds::never_switch()`.
+    /// The dense reference for [`DualTransformerLm::forward_logits`]:
+    /// the same windows and head around the block's dense pass — equal to
+    /// the dual path at `TransformerThresholds::never_switch()`.
     pub fn reference_logits(&self, tokens: &[usize]) -> Vec<Tensor> {
+        self.windowed_logits(tokens, |xs| self.block.forward_dense(xs))
+    }
+
+    /// The windowing and head loop both passes share: consecutive windows
+    /// of up to `ctx` input tokens, each embedded into `[T, m]` and run
+    /// through `block`, then every output row through the dense head.
+    fn windowed_logits(
+        &self,
+        tokens: &[usize],
+        mut block: impl FnMut(&Tensor) -> Tensor,
+    ) -> Vec<Tensor> {
         assert!(tokens.len() >= 2, "need at least two tokens");
         let steps = tokens.len() - 1;
         let (m, ctx) = (self.lm.model_dim(), self.lm.context());
@@ -536,8 +522,12 @@ impl DualTransformerLm {
         let mut start = 0usize;
         while start < steps {
             let end = (start + ctx).min(steps);
-            let xs = self.window_inputs(&tokens[start..end]);
-            let out = self.block.forward_dense(&xs);
+            let mut xs = Tensor::zeros(&[end - start, m]);
+            for (t, &tok) in tokens[start..end].iter().enumerate() {
+                xs.row_mut(t)
+                    .copy_from_slice(self.lm.embed_token(tok, t).data());
+            }
+            let out = block(&xs);
             for t in 0..(end - start) {
                 let y_t = row(&out, t, m);
                 logits.push(ops::affine(
@@ -709,6 +699,38 @@ mod tests {
         assert!(
             acc >= dense_acc - 0.05,
             "accuracy {acc} vs dense {dense_acc}"
+        );
+    }
+
+    #[test]
+    fn dual_logits_keep_their_bits() {
+        // Golden pins of the dual LM's full-precision logits and
+        // accounting at never-switch and at one switching θ, and of its
+        // dense reference, over two whole windows and a partial one.
+        let source = datasets::MarkovText::new(8, 2, &mut seeded(80));
+        let lm = train_transformer(&source, 12, 16, 6, 30, &mut seeded(81));
+        let dual = DualTransformerLm::from_lm(&lm, &source, 0.5, 4, &mut seeded(82));
+        let tokens = source.sample(16, &mut seeded(83));
+        let fold = |logits: &[Tensor], rep: &SavingsReport| {
+            let bits = logits.iter().flat_map(|l| l.data()).map(|v| v.to_bits());
+            crate::output_fingerprint(bits, rep)
+        };
+        let (never, never_rep) =
+            dual.forward_logits(&tokens, &TransformerThresholds::never_switch());
+        let (logits, rep) = dual.forward_logits(&tokens, &TransformerThresholds::uniform(0.4));
+        assert!(rep.approximate_fraction() > 0.1);
+        let got = [
+            fold(&dual.reference_logits(&tokens), &SavingsReport::new()),
+            fold(&never, &never_rep),
+            fold(&logits, &rep),
+        ];
+        assert_eq!(
+            got,
+            [
+                (120, 0x2427_7a5d_6464_63eb),
+                (120, 0x58f6_8394_1cd7_541e),
+                (120, 0x5e6a_76c1_c387_2372),
+            ]
         );
     }
 

@@ -157,11 +157,14 @@ echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4
 thread_invariant results/BENCH_control_smoke.json -- ./target/release/control_bench --smoke
 rm -f results/BENCH_control_smoke.json
 
-echo "== dual transformer + speculator + conv (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
-# The dual-attention refactor's contract: θ = −∞ is bitwise the dense
-# model for every piece (DualProjection, DualAttention, DualFfn, the
-# whole block, and the re-backed DualModuleLayer), at any engine pool
-# width. The speculator's contract: its blocked projection and GEMV are
+echo "== dual transformer + never-switch + speculator + conv (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
+# The dual-attention contract: θ = −∞ is bitwise the dense model for the
+# projection, the whole block (whose dense pass shares the dual pass's
+# composition) and the re-backed DualModuleLayer, at any engine pool
+# width. The never-switch contract: the FC, conv, LSTM and GRU dual paths
+# are bitwise their own row order and match their dense twins (the
+# recurrent cells' teachers, whose gate arithmetic they share) to
+# rounding. The speculator's contract: its blocked projection and GEMV are
 # bitwise the whole-tensor chain, including the module large enough for
 # the GEMV to stripe its eight-row blocks over the pool, at any width.
 # The conv layer's contract: quantizing the feature map and lowering the
@@ -173,6 +176,7 @@ echo "== dual transformer + speculator + conv (equivalence at 1/4/7 threads + tr
 # outputs are scratch.
 for t in 1 4 7; do
     DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test transformer_equivalence
+    DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test never_switch_equivalence
     DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test speculator_equivalence
     DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test conv_equivalence
 done
